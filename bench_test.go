@@ -15,22 +15,15 @@ package tcpdemux
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"tcpdemux/internal/analytic"
 	"tcpdemux/internal/cachesim"
 	"tcpdemux/internal/churn"
-	"tcpdemux/internal/connid"
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/parallel"
-	"tcpdemux/internal/rcu"
 	"tcpdemux/internal/rng"
 	"tcpdemux/internal/stats"
-	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/tpca"
 	"tcpdemux/internal/trains"
 	"tcpdemux/internal/wire"
@@ -383,10 +376,7 @@ func wireDemuxFrames(b *testing.B, n int, insert ...func(*core.PCB) error) [][]b
 
 // BenchmarkWireDemux measures the full receive fast path: raw frame →
 // tuple extraction → hashed lookup, the end-to-end cost a driver would
-// see. The sequent case is the unsynchronized baseline; rcu is the same
-// table behind the lock-free read path; rcu-batch32 demultiplexes
-// 32-frame trains through the batched lookup API, the shape the paper's
-// packet-train analysis assumes arrivals take.
+// see, on the single-writer Sequent table a shard owns.
 func BenchmarkWireDemux(b *testing.B) {
 	b.Run("sequent", func(b *testing.B) {
 		d := core.NewSequentHash(19, nil)
@@ -403,305 +393,6 @@ func BenchmarkWireDemux(b *testing.B) {
 			}
 		}
 	})
-	b.Run("rcu", func(b *testing.B) {
-		d := rcu.New(19, nil)
-		frames := wireDemuxFrames(b, 512, d.Insert)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tuple, err := wire.ExtractTuple(frames[i%len(frames)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r := d.Lookup(core.KeyFromTuple(tuple), core.DirAck); r.PCB == nil {
-				b.Fatal("lost a PCB")
-			}
-		}
-	})
-	b.Run("rcu-batch32", func(b *testing.B) {
-		const train = 32
-		d := rcu.New(19, nil)
-		frames := wireDemuxFrames(b, 512, d.Insert)
-		keys := make([]core.Key, 0, train)
-		var out []core.Result
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tuple, err := wire.ExtractTuple(frames[i%len(frames)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			keys = append(keys, core.KeyFromTuple(tuple))
-			if len(keys) == train || i == b.N-1 {
-				out = d.LookupBatch(keys, core.DirAck, out)
-				for _, r := range out {
-					if r.PCB == nil {
-						b.Fatal("lost a PCB")
-					}
-				}
-				keys = keys[:0]
-			}
-		}
-	})
-}
-
-// --- EXP-PAR: parallel demultiplexing (the [Dov90] context) --------------------------
-
-// BenchmarkParallel measures lookup throughput under goroutine load
-// across the three locking disciplines head-to-head: a single global lock
-// (what a shared linear list forces), the Sequent table with one lock per
-// hash chain — the design Sequent's parallel STREAMS TCP shipped — and
-// the RCU-style table whose read path takes no locks at all. Run with
-// -cpu 1,4,8 to see the scaling gap.
-func BenchmarkParallel(b *testing.B) {
-	const n = 1000
-	cases := []struct {
-		name  string
-		build func() parallel.ConcurrentDemuxer
-	}{
-		{"locked-bsd", func() parallel.ConcurrentDemuxer { return parallel.NewLocked(core.NewBSDList()) }},
-		{"locked-sequent", func() parallel.ConcurrentDemuxer { return parallel.NewLocked(core.NewSequentHash(19, nil)) }},
-		{"sharded-sequent-19", func() parallel.ConcurrentDemuxer { return parallel.NewShardedSequent(19, nil) }},
-		{"sharded-sequent-128", func() parallel.ConcurrentDemuxer { return parallel.NewShardedSequent(128, nil) }},
-		{"rcu-sequent-19", func() parallel.ConcurrentDemuxer { return rcu.New(19, nil) }},
-		{"rcu-sequent-128", func() parallel.ConcurrentDemuxer { return rcu.New(128, nil) }},
-	}
-	for _, c := range cases {
-		c := c
-		b.Run(c.name, func(b *testing.B) {
-			d := c.build()
-			keys := make([]core.Key, n)
-			for i := range keys {
-				keys[i] = tpca.UserKey(i)
-				if err := d.Insert(core.NewPCB(keys[i])); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				src := rng.New(uint64(42))
-				for pb.Next() {
-					if r := d.Lookup(keys[src.Intn(n)], core.DirData); r.PCB == nil {
-						b.Fatal("lost a PCB")
-					}
-				}
-			})
-		})
-	}
-}
-
-// parallelStream caches the recorded TPC/A inbound stream BenchmarkParallelTPCA
-// replays; recording it once keeps per-subbenchmark setup cheap.
-var parallelStream struct {
-	once   sync.Once
-	stream []parallel.Op
-	err    error
-}
-
-// BenchmarkParallelTPCA is the read-heavy acceptance benchmark: a
-// recorded TPC/A inbound packet stream (99% of operations) mixed with 1%
-// connection churn, replayed by 4×GOMAXPROCS goroutines against each
-// locking discipline, per-packet and in 64-packet batched trains. The
-// TPC/A stream carries the response-interval locality the paper's
-// analysis rests on, so the per-chain caches hit at their realistic rate
-// and the synchronization cost is a visible fraction of each lookup.
-// Oversubscribing the Ps (as receive contexts outnumber CPUs on a real
-// endsystem) also exercises lock-holder preemption: a goroutine descheduled
-// inside a critical section stalls every contender on that lock, a hazard
-// the lock-free read path is immune to by construction. lookups/sec is
-// reported as a metric next to ns/op.
-func BenchmarkParallelTPCA(b *testing.B) {
-	parallelStream.once.Do(func() {
-		parallelStream.stream, parallelStream.err = parallel.TPCAStream(1000, 4, 7)
-	})
-	if parallelStream.err != nil {
-		b.Fatal(parallelStream.err)
-	}
-	stream := parallelStream.stream
-	const users = 1000
-	const readFraction = 0.99
-	for _, name := range []string{"locked-sequent", "sharded-sequent", "rcu-sequent"} {
-		for _, batch := range []int{0, 64} {
-			// The /telemetry variants run the same workload with each
-			// worker observing through its own telemetry.LocalDemux
-			// (single-writer examined/outcome accumulation, flushed at
-			// worker exit), making the instrumentation overhead a
-			// directly comparable benchmark line; see overhead_test.go
-			// for the <5% acceptance check.
-			for _, instrumented := range []bool{false, true} {
-				name, batch, instrumented := name, batch, instrumented
-				bname := name + "/perpacket"
-				if batch > 1 {
-					bname = fmt.Sprintf("%s/batch%d", name, batch)
-				}
-				if instrumented {
-					bname += "/telemetry"
-				}
-				b.Run(bname, func(b *testing.B) {
-					shared, m, err := newParallelBenchDemux(name, instrumented)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for i := 0; i < users; i++ {
-						if err := shared.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
-							b.Fatal(err)
-						}
-					}
-					var worker atomic.Int64
-					b.SetParallelism(4)
-					b.ResetTimer()
-					start := time.Now()
-					b.RunParallel(func(pb *testing.PB) {
-						d := shared
-						if m != nil {
-							ld := telemetry.InstrumentLocal(shared, m)
-							defer ld.Flush()
-							d = ld
-						}
-						w := int(worker.Add(1)) - 1
-						src := rng.New(uint64(w)*7919 + 42)
-						pos := (w * 65537) % len(stream)
-						churnBase := users + 100 + w*32
-						var keys []core.Key
-						var out []core.Result
-						for pb.Next() {
-							if src.Float64() >= readFraction {
-								if len(keys) > 0 {
-									out = d.LookupBatch(keys, core.DirData, out)
-									keys = keys[:0]
-								}
-								k := tpca.UserKey(churnBase + src.Intn(32))
-								if !d.Remove(k) {
-									_ = d.Insert(core.NewPCB(k))
-								}
-								continue
-							}
-							op := stream[pos]
-							pos++
-							if pos == len(stream) {
-								pos = 0
-							}
-							if batch > 1 {
-								keys = append(keys, op.Key)
-								if len(keys) >= batch {
-									out = d.LookupBatch(keys, core.DirData, out)
-									keys = keys[:0]
-								}
-							} else {
-								d.Lookup(op.Key, op.Dir)
-							}
-						}
-						if len(keys) > 0 {
-							d.LookupBatch(keys, core.DirData, out)
-						}
-					})
-					elapsed := time.Since(start).Seconds()
-					if elapsed > 0 {
-						b.ReportMetric(float64(b.N)/elapsed, "lookups/sec")
-					}
-					st := shared.Snapshot()
-					if st.Lookups > 0 {
-						b.ReportMetric(st.MeanExamined(), "PCBs/pkt")
-						b.ReportMetric(st.HitRate()*100, "hit%")
-					}
-				})
-			}
-		}
-	}
-}
-
-// newParallelBenchDemux builds a discipline for BenchmarkParallelTPCA,
-// optionally wrapped in telemetry instrumentation (fresh registry per
-// sub-benchmark so runs never share stripe state).
-func newParallelBenchDemux(name string, instrumented bool) (parallel.ConcurrentDemuxer, *telemetry.DemuxMetrics, error) {
-	d, err := parallel.New(name, core.Config{Chains: 19})
-	if err != nil || !instrumented {
-		return d, nil, err
-	}
-	reg := telemetry.NewRegistry()
-	return d, telemetry.NewDemuxMetrics(reg, name), nil
-}
-
-// --- EXP-CONNID: protocol connection IDs vs hashing (§3.5) ---------------------------
-
-// BenchmarkConnID compares full receive paths at the paper's population:
-// the TP4-style option scan + array index against tuple extraction +
-// hashed lookup. §3.5's argument — "the much cheaper search provided by
-// hashing eliminates the motivation for connection IDs" — holds if the
-// wall-clock gap here is small.
-func BenchmarkConnID(b *testing.B) {
-	const n = paperN
-	makeFrame := func(i int, withID func(i int) []wire.TCPOption) []byte {
-		k := tpca.UserKey(i)
-		tu := k.Tuple()
-		tcp := wire.TCPHeader{
-			SrcPort: tu.SrcPort, DstPort: tu.DstPort, Flags: wire.FlagACK | wire.FlagPSH,
-		}
-		if withID != nil {
-			tcp.Options = withID(i)
-		}
-		frame, err := wire.BuildSegment(
-			wire.IPv4Header{TTL: 64, Src: tu.SrcAddr, Dst: tu.DstAddr}, tcp, []byte("q"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return frame
-	}
-
-	b.Run("connid-option", func(b *testing.B) {
-		tbl := connid.NewTable()
-		ids := make([]uint32, n)
-		for i := 0; i < n; i++ {
-			_, id, err := tbl.Open(tpca.UserKey(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids[i] = id
-		}
-		frames := make([][]byte, 512)
-		for i := range frames {
-			frames[i] = makeFrame(i, func(i int) []wire.TCPOption {
-				return []wire.TCPOption{connid.Option(ids[i])}
-			})
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := tbl.DemuxFrame(frames[i%len(frames)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	for _, algo := range []string{"sequent", "map"} {
-		algo := algo
-		b.Run("tuple-"+algo, func(b *testing.B) {
-			d, err := core.New(algo, core.Config{Chains: 19})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				if err := d.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			frames := make([][]byte, 512)
-			for i := range frames {
-				frames[i] = makeFrame(i, nil)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tu, err := wire.ExtractTuple(frames[i%len(frames)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				if r := d.Lookup(core.KeyFromTuple(tu), core.DirData); r.PCB == nil {
-					b.Fatal("lost a PCB")
-				}
-			}
-		})
-	}
 }
 
 // --- EXP-CHURN: connection turnover with TIME_WAIT linger ------------------------------

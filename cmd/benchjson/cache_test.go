@@ -7,14 +7,14 @@ import (
 )
 
 // TestRunCacheSmoke drives a tiny cache-workload measurement and checks
-// the report's structure: chained baselines in both modes, flat tables
-// per-packet plus the full prefetch-depth sweep, cachesim estimates
-// embedded, summary computed against the rcu per-packet baseline.
+// the report's structure: the chained baseline in both modes, flat
+// tables per-packet plus the full prefetch-depth sweep, cachesim
+// estimates embedded, summary computed against the Sequent per-packet
+// baseline, and every configuration's examined mean identical across
+// rounds (single-writer tables replaying one recorded stream).
 func TestRunCacheSmoke(t *testing.T) {
 	opt := defaults()
-	opt.Rounds = 1
-	opt.GoMaxProcs = 2
-	opt.Workers = 2
+	opt.Rounds = 2
 	opt.Ops = 800
 	opt.Users = 50
 	opt.TxnsPer = 2
@@ -34,6 +34,11 @@ func TestRunCacheSmoke(t *testing.T) {
 		if r.Best.NsPerOp <= 0 || r.Best.LookupsPerSec <= 0 {
 			t.Fatalf("%s/%s: empty best round %+v", r.Discipline, r.Mode, r.Best)
 		}
+		for _, rd := range r.Rounds {
+			if rd.MeanExamined != r.Best.MeanExamined {
+				t.Fatalf("%s/%s: examined mean varies across rounds: %+v", r.Discipline, r.Mode, r.Rounds)
+			}
+		}
 	}
 	for _, d := range cacheChained {
 		if !seen[d+"/perpacket"] || !seen[d+"/batch8"] {
@@ -52,13 +57,13 @@ func TestRunCacheSmoke(t *testing.T) {
 	}
 
 	s := rep.Summary
-	if s.RcuPerPacketNsPerOp <= 0 || s.FlatBatchNsPerOp <= 0 || s.FlatBatchConfig == "" {
+	if s.SequentPerPacketNsPerOp <= 0 || s.FlatBatchNsPerOp <= 0 || s.FlatBatchConfig == "" {
 		t.Fatalf("summary baselines missing: %+v", s)
 	}
-	if s.FlatBatchOverRcuPerPacket <= 0 {
+	if s.FlatBatchOverSequentPerPacket <= 0 {
 		t.Fatalf("speedup ratio not computed: %+v", s)
 	}
-	if s.FlatBatchBeatsRcu != (s.FlatBatchNsPerOp < s.RcuPerPacketNsPerOp) {
+	if s.FlatBatchBeatsSequent != (s.FlatBatchNsPerOp < s.SequentPerPacketNsPerOp) {
 		t.Fatalf("acceptance bool inconsistent with its inputs: %+v", s)
 	}
 	for _, d := range cacheFlat {
@@ -96,9 +101,9 @@ func TestRunCacheSmoke(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.NumCPU != runtime.NumCPU() || back.GoMaxProcs != opt.GoMaxProcs {
+	if back.NumCPU != runtime.NumCPU() || back.GoMaxProcs != runtime.GOMAXPROCS(0) {
 		t.Fatalf("host metadata wrong on emitted JSON: numCPU=%d gomaxprocs=%d, want %d/%d",
-			back.NumCPU, back.GoMaxProcs, runtime.NumCPU(), opt.GoMaxProcs)
+			back.NumCPU, back.GoMaxProcs, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	}
 	if back.Summary.FlatBatchConfig != s.FlatBatchConfig || back.Summary.FlatBatchNsPerOp != s.FlatBatchNsPerOp {
 		t.Fatalf("summary did not round-trip: %+v vs %+v", back.Summary, s)
@@ -106,20 +111,19 @@ func TestRunCacheSmoke(t *testing.T) {
 }
 
 // TestHostMetadataEmitted is the regression test for the host block on
-// every emitted report shape: the parallel and adversarial documents
-// must both record the actual CPU count and GOMAXPROCS of the
-// measurement, visible after a decode of the marshaled bytes.
+// every emitted report shape: the shard and adversarial documents must
+// both record the actual CPU count and GOMAXPROCS of the measurement,
+// visible after a decode of the marshaled bytes.
 func TestHostMetadataEmitted(t *testing.T) {
 	opt := defaults()
 	opt.Rounds = 1
 	opt.GoMaxProcs = 2
-	opt.Workers = 2
 	opt.Ops = 500
 	opt.Users = 30
 	opt.TxnsPer = 2
 	opt.Batch = 0
 
-	pr, err := run(opt)
+	sr, err := runShard(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +133,7 @@ func TestHostMetadataEmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, rep := range map[string]any{"parallel": pr, "adversarial": ar} {
+	for name, rep := range map[string]any{"shard": sr, "adversarial": ar} {
 		buf, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +152,7 @@ func TestHostMetadataEmitted(t *testing.T) {
 			t.Fatalf("%s report gomaxprocs=%d, want > 0", name, host.GoMaxProcs)
 		}
 	}
-	if pr.GoMaxProcs != opt.GoMaxProcs {
-		t.Fatalf("parallel gomaxprocs=%d, want the measurement setting %d", pr.GoMaxProcs, opt.GoMaxProcs)
+	if sr.GoMaxProcs != opt.GoMaxProcs {
+		t.Fatalf("shard gomaxprocs=%d, want the measurement setting %d", sr.GoMaxProcs, opt.GoMaxProcs)
 	}
 }

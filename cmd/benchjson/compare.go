@@ -16,52 +16,61 @@ import (
 const defaultTolerance = 0.15
 
 // gateReport is the minimal shape the gate needs from any benchjson
-// report — parallel and cache both carry per-configuration best rounds.
-// The adversarial report has no nsPerOp and is not comparable.
+// report — cache, shard and failover all carry per-configuration best
+// rounds. The adversarial report has no nsPerOp and is not comparable.
 type gateReport struct {
 	Benchmark string   `json:"benchmark"`
 	Results   []result `json:"results"`
 }
 
-// delta is one configuration's old-vs-new comparison on the best round's
-// nsPerOp. Change is fractional — positive means the new run is slower.
+// delta is one configuration's old-vs-new comparison on the best round.
+// Change is the fractional nsPerOp change — positive means the new run
+// is slower. meanExamined is deterministic for a given -n/-ops/-seed
+// (every table is single-writer and replays a recorded stream), so any
+// difference at all is an algorithmic change, not noise.
 type delta struct {
-	Config    string
-	OldNs     float64
-	NewNs     float64
-	Change    float64
-	Regressed bool
+	Config          string
+	OldNs           float64
+	NewNs           float64
+	Change          float64
+	Regressed       bool
+	OldExamined     float64
+	NewExamined     float64
+	ExaminedChanged bool
 }
 
 // compareReports pairs configurations present in both reports by
-// discipline/mode and flags any whose best nsPerOp grew beyond tol.
+// discipline/mode and flags any whose best nsPerOp grew beyond tol or
+// whose best meanExamined differs.
 // Configurations only the new report measures are skipped — a new run
 // is free to add modes — but every configuration the old report
 // measured must reappear in the new one, and the missing ones are
 // returned so the gate can fail instead of passing vacuously: a renamed
 // discipline must not empty the gate silently.
 func compareReports(oldRep, newRep *gateReport, tol float64) ([]delta, []string, error) {
-	oldBest := make(map[string]float64, len(oldRep.Results))
+	oldBest := make(map[string]round, len(oldRep.Results))
 	for _, r := range oldRep.Results {
-		oldBest[r.Discipline+"/"+r.Mode] = r.Best.NsPerOp
+		oldBest[r.Discipline+"/"+r.Mode] = r.Best
 	}
 	matched := make(map[string]bool, len(oldBest))
 	var deltas []delta
 	for _, r := range newRep.Results {
 		key := r.Discipline + "/" + r.Mode
-		oldNs, ok := oldBest[key]
+		old, ok := oldBest[key]
 		if !ok {
 			continue
 		}
 		matched[key] = true
-		if oldNs <= 0 || r.Best.NsPerOp <= 0 {
-			continue
+		d := delta{
+			Config: key, OldNs: old.NsPerOp, NewNs: r.Best.NsPerOp,
+			OldExamined: old.MeanExamined, NewExamined: r.Best.MeanExamined,
+			ExaminedChanged: old.MeanExamined != r.Best.MeanExamined,
 		}
-		change := (r.Best.NsPerOp - oldNs) / oldNs
-		deltas = append(deltas, delta{
-			Config: key, OldNs: oldNs, NewNs: r.Best.NsPerOp,
-			Change: change, Regressed: change > tol,
-		})
+		if old.NsPerOp > 0 && r.Best.NsPerOp > 0 {
+			d.Change = (r.Best.NsPerOp - old.NsPerOp) / old.NsPerOp
+			d.Regressed = d.Change > tol
+		}
+		deltas = append(deltas, d)
 	}
 	var missing []string
 	for key := range oldBest { //demux:orderinvariant collected keys are sorted below before use
@@ -88,7 +97,7 @@ func loadGateReport(path string) (*gateReport, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(rep.Results) == 0 {
-		return nil, fmt.Errorf("%s: no results — not a parallel/cache benchjson report", path)
+		return nil, fmt.Errorf("%s: no results — not a cache/shard/failover benchjson report", path)
 	}
 	return &rep, nil
 }
@@ -144,7 +153,7 @@ func runCompare(args []string, tol float64, w io.Writer) int {
 		fmt.Fprintln(w, "benchjson:", err)
 		return 2
 	}
-	regressed := 0
+	regressed, drifted := 0, 0
 	for _, d := range deltas {
 		mark := "ok  "
 		if d.Regressed {
@@ -153,6 +162,11 @@ func runCompare(args []string, tol float64, w io.Writer) int {
 		}
 		fmt.Fprintf(w, "%s %-36s %10.1f -> %10.1f ns/op (%+.1f%%)\n",
 			mark, d.Config, d.OldNs, d.NewNs, 100*d.Change)
+		if d.ExaminedChanged {
+			drifted++
+			fmt.Fprintf(w, "FAIL %-36s meanExamined %v -> %v (deterministic: must match exactly)\n",
+				d.Config, d.OldExamined, d.NewExamined)
+		}
 	}
 	for _, key := range missing {
 		fmt.Fprintf(w, "MISS %-36s measured in %s but absent from %s\n", key, paths[0], paths[1])
@@ -162,12 +176,12 @@ func runCompare(args []string, tol float64, w io.Writer) int {
 			len(missing))
 		return 1
 	}
-	if regressed > 0 {
-		fmt.Fprintf(w, "benchjson: %d configuration(s) regressed beyond the %.0f%% nsPerOp tolerance\n",
-			regressed, tol*100)
+	if regressed > 0 || drifted > 0 {
+		fmt.Fprintf(w, "benchjson: %d configuration(s) regressed beyond the %.0f%% nsPerOp tolerance, %d changed meanExamined\n",
+			regressed, tol*100, drifted)
 		return 1
 	}
-	fmt.Fprintf(w, "benchjson: %d configuration(s) within the %.0f%% nsPerOp tolerance\n",
+	fmt.Fprintf(w, "benchjson: %d configuration(s) within the %.0f%% nsPerOp tolerance, meanExamined identical\n",
 		len(deltas), tol*100)
 	return 0
 }

@@ -20,6 +20,13 @@ func gateFile(t *testing.T, name string, ns map[string]float64) string {
 			Discipline: d, Mode: m, Best: round{NsPerOp: v, LookupsPerSec: 1e9 / v},
 		})
 	}
+	return writeGateReport(t, name, rep)
+}
+
+// writeGateReport marshals rep into a temporary file and returns its
+// path.
+func writeGateReport(t *testing.T, name string, rep gateReport) string {
+	t.Helper()
 	buf, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -33,12 +40,12 @@ func gateFile(t *testing.T, name string, ns map[string]float64) string {
 
 func TestCompareReports(t *testing.T) {
 	oldRep := &gateReport{Results: []result{
-		{Discipline: "rcu-sequent", Mode: "perpacket", Best: round{NsPerOp: 100}},
+		{Discipline: "sequent", Mode: "perpacket", Best: round{NsPerOp: 100}},
 		{Discipline: "flat-hopscotch", Mode: "batch64-k4", Best: round{NsPerOp: 40}},
 		{Discipline: "gone", Mode: "perpacket", Best: round{NsPerOp: 10}},
 	}}
 	newRep := &gateReport{Results: []result{
-		{Discipline: "rcu-sequent", Mode: "perpacket", Best: round{NsPerOp: 110}},
+		{Discipline: "sequent", Mode: "perpacket", Best: round{NsPerOp: 110}},
 		{Discipline: "flat-hopscotch", Mode: "batch64-k4", Best: round{NsPerOp: 60}},
 		{Discipline: "added", Mode: "perpacket", Best: round{NsPerOp: 5}},
 	}}
@@ -53,7 +60,7 @@ func TestCompareReports(t *testing.T) {
 	for _, d := range deltas {
 		byCfg[d.Config] = d
 	}
-	if d := byCfg["rcu-sequent/perpacket"]; d.Regressed || d.Change < 0.09 || d.Change > 0.11 {
+	if d := byCfg["sequent/perpacket"]; d.Regressed || d.Change < 0.09 || d.Change > 0.11 {
 		t.Fatalf("10%% growth inside tolerance misjudged: %+v", d)
 	}
 	if d := byCfg["flat-hopscotch/batch64-k4"]; !d.Regressed {
@@ -80,18 +87,18 @@ func TestCompareReports(t *testing.T) {
 
 func TestRunCompareGate(t *testing.T) {
 	base := map[string]float64{
-		"rcu-sequent/perpacket":     100,
-		"locked-sequent/perpacket":  300,
+		"sequent/perpacket":         100,
+		"flat-cuckoo/perpacket":     300,
 		"flat-hopscotch/batch64-k4": 40,
 	}
 	slower := map[string]float64{
-		"rcu-sequent/perpacket":     130, // +30%: beyond 15%
-		"locked-sequent/perpacket":  310,
+		"sequent/perpacket":         130, // +30%: beyond 15%
+		"flat-cuckoo/perpacket":     310,
 		"flat-hopscotch/batch64-k4": 41,
 	}
 	faster := map[string]float64{
-		"rcu-sequent/perpacket":     90,
-		"locked-sequent/perpacket":  305, // +1.7%: inside
+		"sequent/perpacket":         90,
+		"flat-cuckoo/perpacket":     305, // +1.7%: inside
 		"flat-hopscotch/batch64-k4": 35,
 	}
 	old := gateFile(t, "old.json", base)
@@ -104,7 +111,7 @@ func TestRunCompareGate(t *testing.T) {
 	if code := runCompare([]string{old, gateFile(t, "bad.json", slower)}, defaultTolerance, &out); code != 1 {
 		t.Fatalf("regression exited %d, want 1: %s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "FAIL rcu-sequent/perpacket") {
+	if !strings.Contains(out.String(), "FAIL sequent/perpacket") {
 		t.Fatalf("regressed config not named:\n%s", out.String())
 	}
 
@@ -123,8 +130,8 @@ func TestRunCompareGate(t *testing.T) {
 	// renamed discipline, say) must fail the gate even when every config
 	// it does share is within tolerance — the vacuous-pass regression.
 	renamed := map[string]float64{
-		"rcu-sequent/perpacket":    100,
-		"locked-sequent/perpacket": 300,
+		"sequent/perpacket":     100,
+		"flat-cuckoo/perpacket": 300,
 		// flat-hopscotch/batch64-k4 vanished
 	}
 	out.Reset()
@@ -145,5 +152,35 @@ func TestRunCompareGate(t *testing.T) {
 		if code := runCompare(args, defaultTolerance, &out); code != 2 {
 			t.Fatalf("args %v exited %d, want 2: %s", args, code, out.String())
 		}
+	}
+}
+
+// TestRunCompareGatesExaminedExactly: meanExamined is deterministic, so
+// the gate fails on any change of a shared configuration's best-round
+// examined mean — even one far inside the nsPerOp tolerance, and even
+// when the run got faster.
+func TestRunCompareGatesExaminedExactly(t *testing.T) {
+	rep := func(examined float64) gateReport {
+		return gateReport{Benchmark: "test", Results: []result{
+			{Discipline: "sequent", Mode: "perpacket", Best: round{NsPerOp: 1000, MeanExamined: 160.095235}},
+			{Discipline: "flat-hopscotch", Mode: "batch64-k4", Best: round{NsPerOp: 50, MeanExamined: examined}},
+		}}
+	}
+	old := writeGateReport(t, "old.json", rep(1.289755))
+
+	var out bytes.Buffer
+	if code := runCompare([]string{old, writeGateReport(t, "same.json", rep(1.289755))}, defaultTolerance, &out); code != 0 {
+		t.Fatalf("identical examined means exited %d: %s", code, out.String())
+	}
+	out.Reset()
+	if code := runCompare([]string{old, writeGateReport(t, "drift.json", rep(1.289756))}, defaultTolerance, &out); code != 1 {
+		t.Fatalf("changed examined mean exited %d, want 1: %s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "FAIL flat-hopscotch/batch64-k4") ||
+		!strings.Contains(out.String(), "meanExamined 1.289755 -> 1.289756") {
+		t.Fatalf("examined change not named:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "FAIL sequent/perpacket") {
+		t.Fatalf("unchanged configuration flagged:\n%s", out.String())
 	}
 }

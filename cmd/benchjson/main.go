@@ -1,22 +1,20 @@
-// Command benchjson runs the concurrent demultiplexers head-to-head on
-// the read-heavy TPC/A mix and writes the measured rates as JSON. Three
-// workloads share the harness:
+// Command benchjson measures the demultiplexing disciplines on the
+// read-heavy TPC/A mix and writes the results as JSON. Every lookup
+// table is measured the way the sharded engine runs it — single-writer,
+// through shard.MeasureSharded — and four workloads share the harness:
 //
-//   - parallel (BENCH_parallel.json): the locking disciplines — global
-//     lock, per-chain locks, and the lock-free-read RCU table — per
-//     packet and in batched trains.
-//   - cache (BENCH_cache.json): the chained baselines against the
+//   - cache (BENCH_cache.json): the chained Sequent baseline against the
 //     cache-conscious open-addressing tables (flat-hopscotch,
-//     flat-cuckoo), per packet and batched, sweeping the batch path's
-//     prefetch pipeline depth k, with internal/cachesim stall estimates
-//     embedded beside the measured numbers.
+//     flat-cuckoo) on one shard, per packet and batched, sweeping the
+//     batch path's prefetch pipeline depth k, with internal/cachesim
+//     stall estimates embedded beside the measured numbers.
 //   - adversarial (BENCH_adversarial.json): the collision attack and
 //     SYN flood against the defended tables.
 //   - shard (BENCH_shard.json): the multi-queue engine — the same
-//     TPC/A population RSS-steered across N private Sequent tables,
-//     sweeping the shard count (1, 2, 4, max). With the chain count
-//     held fixed, each shard's table holds ~1/N of the PCBs, so the
-//     sweep exposes the paper's C(N) partitioning effect directly.
+//     TPC/A population RSS-steered across N private tables, sweeping
+//     the shard count (1, 2, 4, max). With the chain count held fixed,
+//     each shard's table holds ~1/N of the PCBs, so the sweep exposes
+//     the paper's C(N) partitioning effect directly.
 //   - failover (BENCH_failover.json): shard failure domains under
 //     virtual time — crash and stall one shard of four mid-exchange and
 //     measure watchdog detection latency, live-drain recovery, and
@@ -32,15 +30,15 @@
 //
 // Usage:
 //
-//	benchjson [-workload parallel|cache|adversarial|shard|failover] [-out FILE]
-//	          [-rounds 5] [-gomaxprocs 4] [-workers 4*gomaxprocs]
-//	          [-ops 200000] [-users 1000] [-read 0.99] [-batch 64]
-//	          [-chains 19] [-seed 7]
+//	benchjson [-workload cache|adversarial|shard|failover] [-out FILE]
+//	          [-rounds 5] [-gomaxprocs 4] [-ops 200000] [-n 1000]
+//	          [-batch 64] [-chains 19] [-seed 7]
 //
 // benchjson is also its own regression gate: -compare old.json new.json
 // [-tolerance 0.15] reads two reports of the same workload and exits
 // nonzero if any configuration's best nsPerOp regressed beyond the
-// tolerance (see compare.go).
+// tolerance or its deterministic meanExamined changed at all (see
+// compare.go).
 package main
 
 import (
@@ -55,7 +53,8 @@ import (
 	"tcpdemux/internal/engine"
 	"tcpdemux/internal/hashfn"
 	"tcpdemux/internal/overload"
-	"tcpdemux/internal/parallel"
+	"tcpdemux/internal/rng"
+	"tcpdemux/internal/shard"
 	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/tpca"
 	"tcpdemux/internal/wire"
@@ -68,32 +67,25 @@ type options struct {
 	Workload   string
 	Rounds     int
 	GoMaxProcs int
-	Workers    int
 	Ops        int
 	Users      int
 	TxnsPer    int
-	Read       float64
 	Batch      int
 	Chains     int
 	Seed       uint64
-	ChurnKeys  int
 }
 
 func defaults() options {
 	return options{
-		Out:        "BENCH_parallel.json",
-		Workload:   "parallel",
+		Workload:   "cache",
 		Rounds:     5,
 		GoMaxProcs: 4,
-		Workers:    0, // 0 -> 4 * GoMaxProcs
 		Ops:        200_000,
 		Users:      1000,
 		TxnsPer:    4,
-		Read:       0.99,
 		Batch:      64,
 		Chains:     19,
 		Seed:       7,
-		ChurnKeys:  32,
 	}
 }
 
@@ -118,46 +110,18 @@ type result struct {
 	Best       round   `json:"best"`
 }
 
-// report is the full JSON document.
-type report struct {
-	Benchmark  string             `json:"benchmark"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	NumCPU     int                `json:"numCPU"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Config     map[string]any     `json:"config"`
-	Results    []result           `json:"results"`
-	Summary    summary            `json:"summary"`
-	BestRate   map[string]float64 `json:"bestLookupsPerSec"`
-	// Telemetry is the registry snapshot accumulated across every round,
-	// one examined histogram per discipline/mode pair.
-	Telemetry telemetry.Snapshot `json:"telemetry"`
-}
-
-// summary holds the acceptance ratios: the RCU table's best rate against
-// the global-lock and per-chain-lock baselines' best rates.
-type summary struct {
-	RcuOverLocked      float64 `json:"rcuOverLocked"`
-	RcuOverSharded     float64 `json:"rcuOverSharded"`
-	MeetsRcu2xLocked   bool    `json:"meetsRcu2xLocked"`
-	MeetsRcu12xSharded bool    `json:"meetsRcu1_2xSharded"`
-}
-
 func main() {
 	opt := defaults()
-	opt.Out = "" // empty -> per-workload default, resolved after Parse
 	flag.StringVar(&opt.Out, "out", opt.Out, "output JSON path (- for stdout, default per workload)")
 	flag.IntVar(&opt.Rounds, "rounds", opt.Rounds, "interleaved measurement rounds per configuration")
-	flag.IntVar(&opt.GoMaxProcs, "gomaxprocs", opt.GoMaxProcs, "GOMAXPROCS for the measurement (acceptance point is >= 4)")
-	flag.IntVar(&opt.Workers, "workers", opt.Workers, "concurrent workers (0 = 4 x gomaxprocs)")
-	flag.IntVar(&opt.Ops, "ops", opt.Ops, "operations per worker per round")
+	flag.IntVar(&opt.GoMaxProcs, "gomaxprocs", opt.GoMaxProcs, "GOMAXPROCS for the shard sweep (its largest shard count is max(8, gomaxprocs))")
+	flag.IntVar(&opt.Ops, "ops", opt.Ops, "lookups per configuration per round (adversarial: attack size x 50)")
 	flag.IntVar(&opt.Users, "n", opt.Users, "TPC/A users (connection population)")
-	flag.Float64Var(&opt.Read, "read", opt.Read, "lookup fraction of the operation mix")
 	flag.IntVar(&opt.Batch, "batch", opt.Batch, "train length for the batched mode")
 	flag.IntVar(&opt.Chains, "chains", opt.Chains, "hash chains")
 	flag.Uint64Var(&opt.Seed, "seed", opt.Seed, "workload seed")
-	flag.StringVar(&opt.Workload, "workload", opt.Workload, "benchmark workload: parallel, cache, adversarial, shard, or failover")
-	compareMode := flag.Bool("compare", false, "compare two report files (old new) and gate on nsPerOp regressions")
+	flag.StringVar(&opt.Workload, "workload", opt.Workload, "benchmark workload: cache, adversarial, shard, or failover")
+	compareMode := flag.Bool("compare", false, "compare two report files (old new) and gate on nsPerOp regressions and meanExamined changes")
 	tolerance := flag.Float64("tolerance", defaultTolerance, "allowed fractional nsPerOp regression in -compare mode")
 	flag.Parse()
 
@@ -165,63 +129,9 @@ func main() {
 		os.Exit(runCompare(flag.Args(), *tolerance, os.Stdout))
 	}
 	if opt.Out == "" {
-		opt.Out = map[string]string{
-			"parallel":    "BENCH_parallel.json",
-			"cache":       "BENCH_cache.json",
-			"adversarial": "BENCH_adversarial.json",
-			"shard":       "BENCH_shard.json",
-			"failover":    "BENCH_failover.json",
-		}[opt.Workload]
+		opt.Out = "BENCH_" + opt.Workload + ".json"
 	}
-
-	var rep any
-	var err error
-	var note string
-	switch opt.Workload {
-	case "parallel":
-		var pr *report
-		pr, err = run(opt)
-		if pr != nil {
-			note = fmt.Sprintf("rcu/locked %.2fx, rcu/sharded %.2fx",
-				pr.Summary.RcuOverLocked, pr.Summary.RcuOverSharded)
-		}
-		rep = pr
-	case "cache":
-		var cr *cacheReport
-		cr, err = runCache(opt)
-		if cr != nil {
-			note = fmt.Sprintf("flat batch %.2fx over rcu per-packet (ns/op)",
-				cr.Summary.FlatBatchOverRcuPerPacket)
-		}
-		rep = cr
-	case "adversarial":
-		var ar *advReport
-		ar, err = runAdversarial(opt)
-		if ar != nil {
-			note = fmt.Sprintf("undefended %.1f -> guarded %.1f PCBs/pkt under attack",
-				ar.Tables[0].AttackedMean, ar.Tables[1].AttackedMean)
-		}
-		rep = ar
-	case "shard":
-		var sr *shardReport
-		sr, err = runShard(opt)
-		if sr != nil {
-			note = fmt.Sprintf("4 shards %.2fx over single queue (examined %.1f -> %.1f)",
-				sr.Summary.QuadOverSingle, sr.Summary.ExaminedSingle, sr.Summary.ExaminedQuad)
-		}
-		rep = sr
-	case "failover":
-		var fr *failoverReport
-		fr, err = runFailover(opt)
-		if fr != nil && len(fr.Scenarios) > 0 {
-			sc := fr.Scenarios[0]
-			note = fmt.Sprintf("%s detected in %.0f ticks, recovered in %.0f",
-				sc.Name, sc.DetectTicks, sc.RecoverTicks)
-		}
-		rep = fr
-	default:
-		err = fmt.Errorf("unknown workload %q (have parallel, cache, adversarial, shard, failover)", opt.Workload)
-	}
+	rep, note, err := run(opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -243,18 +153,45 @@ func main() {
 	}
 }
 
-// disciplines are the head-to-head variants, global lock to lock-free.
-var disciplinesUnder = []string{"locked-sequent", "sharded-sequent", "rcu-sequent"}
-
-// benchConfig names one measured configuration: a concurrent discipline
-// in one lookup mode. depth is the prefetch pipeline depth for the flat
-// tables' batch path; -1 leaves the table's default untouched (chained
-// disciplines ignore it entirely).
-type benchConfig struct {
-	discipline string
-	mode       string
-	batch      int
-	depth      int
+// run executes opt.Workload and returns its report with a one-line
+// summary note.
+func run(opt options) (any, string, error) {
+	switch opt.Workload {
+	case "cache":
+		cr, err := runCache(opt)
+		if err != nil {
+			return nil, "", err
+		}
+		return cr, fmt.Sprintf("flat batch %.2fx over sequent per-packet (ns/op)",
+			cr.Summary.FlatBatchOverSequentPerPacket), nil
+	case "adversarial":
+		ar, err := runAdversarial(opt)
+		if err != nil {
+			return nil, "", err
+		}
+		return ar, fmt.Sprintf("undefended %.1f -> guarded %.1f PCBs/pkt under attack",
+			ar.Tables[0].AttackedMean, ar.Tables[1].AttackedMean), nil
+	case "shard":
+		sr, err := runShard(opt)
+		if err != nil {
+			return nil, "", err
+		}
+		return sr, fmt.Sprintf("4 shards %.2fx over single queue (examined %.1f -> %.1f)",
+			sr.Summary.QuadOverSingle, sr.Summary.ExaminedSingle, sr.Summary.ExaminedQuad), nil
+	case "failover":
+		fr, err := runFailover(opt)
+		if err != nil {
+			return nil, "", err
+		}
+		note := ""
+		if len(fr.Scenarios) > 0 {
+			sc := fr.Scenarios[0]
+			note = fmt.Sprintf("%s detected in %.0f ticks, recovered in %.0f",
+				sc.Name, sc.DetectTicks, sc.RecoverTicks)
+		}
+		return fr, note, nil
+	}
+	return nil, "", fmt.Errorf("unknown workload %q (have cache, adversarial, shard, failover)", opt.Workload)
 }
 
 // hostInfo captures the host facts at measurement time — inside the
@@ -265,135 +202,49 @@ type hostInfo struct {
 	GoMaxProcs int
 }
 
-// measureConfigs runs the interleaved best-of-rounds measurement over
-// the given configurations: round 1 of every configuration, then round
-// 2, ... so machine drift lands on all configurations alike. It returns
-// one result per configuration plus the accumulated telemetry registry.
-func measureConfigs(opt options, configs []benchConfig) ([]result, *telemetry.Registry, hostInfo, error) {
-	if opt.Workers <= 0 {
-		opt.Workers = 4 * opt.GoMaxProcs
-	}
-	prev := runtime.GOMAXPROCS(opt.GoMaxProcs)
-	defer runtime.GOMAXPROCS(prev)
-	host := hostInfo{NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-
-	stream, err := parallel.TPCAStream(opt.Users, opt.TxnsPer, opt.Seed)
+// tpcaInputs records the TPC/A inbound lookup stream and the connection
+// population every lookup-table workload replays, plus the RSS steering
+// secret that partitions them across shards.
+func tpcaInputs(opt options) ([]tpca.Op, []core.Key, hashfn.Keyed, error) {
+	stream, err := tpca.Stream(opt.Users, opt.TxnsPer, opt.Seed)
 	if err != nil {
-		return nil, nil, host, err
+		return nil, nil, hashfn.Keyed{}, err
 	}
-
-	churn := make([][]core.Key, opt.Workers)
-	for w := range churn {
-		base := opt.Users + 100 + w*opt.ChurnKeys
-		for i := 0; i < opt.ChurnKeys; i++ {
-			churn[w] = append(churn[w], tpca.UserKey(base+i))
-		}
+	keys := make([]core.Key, opt.Users)
+	for i := range keys {
+		keys[i] = tpca.UserKey(i)
 	}
-
-	results := make([]result, len(configs))
-	metrics := make([]*telemetry.DemuxMetrics, len(configs))
-	reg := telemetry.NewRegistry()
-	for i, c := range configs {
-		results[i] = result{Discipline: c.discipline, Mode: c.mode}
-		metrics[i] = telemetry.NewDemuxMetrics(reg,
-			fmt.Sprintf("%s/%s", c.discipline, c.mode))
-	}
-	for r := 0; r < opt.Rounds; r++ {
-		for i, c := range configs {
-			inner, err := parallel.New(c.discipline, core.Config{Chains: opt.Chains})
-			if err != nil {
-				return nil, nil, host, err
-			}
-			if c.depth >= 0 {
-				if s, ok := inner.(interface{ SetPrefetchDepth(int) }); ok {
-					s.SetPrefetchDepth(c.depth)
-				}
-			}
-			d := telemetry.InstrumentConcurrent(inner, metrics[i], nil, nil)
-			for u := 0; u < opt.Users; u++ {
-				if err := d.Insert(core.NewPCB(tpca.UserKey(u))); err != nil {
-					return nil, nil, host, err
-				}
-			}
-			before := metrics[i].ExaminedSnapshot()
-			res, err := parallel.MeasureThroughput(d, parallel.ThroughputConfig{
-				Workers: opt.Workers, OpsPerWorker: opt.Ops, Stream: stream,
-				ReadFraction: opt.Read, ChurnKeys: churn, Batch: c.batch,
-				Seed: opt.Seed + uint64(r),
-			})
-			if err != nil {
-				return nil, nil, host, err
-			}
-			h := histDiff(metrics[i].ExaminedSnapshot(), before)
-			rd := round{
-				NsPerOp:       res.NsPerOp,
-				LookupsPerSec: float64(res.Stats.Lookups) / res.Elapsed.Seconds(),
-				MeanExamined:  res.Stats.MeanExamined(),
-				CacheHitRate:  res.Stats.HitRate(),
-				ExaminedP50:   h.Quantile(0.50),
-				ExaminedP90:   h.Quantile(0.90),
-				ExaminedP99:   h.Quantile(0.99),
-			}
-			results[i].Rounds = append(results[i].Rounds, rd)
-			if rd.LookupsPerSec > results[i].Best.LookupsPerSec {
-				results[i].Best = rd
-			}
-		}
-	}
-	return results, reg, host, nil
+	return stream, keys, hashfn.KeyedFromRNG(rng.New(opt.Seed ^ 0x5157_9e3779b97f4a)), nil
 }
 
-// run executes the interleaved measurement and assembles the report.
-func run(opt options) (*report, error) {
-	if opt.Workers <= 0 {
-		opt.Workers = 4 * opt.GoMaxProcs
-	}
-	var configs []benchConfig
-	for _, name := range disciplinesUnder {
-		configs = append(configs, benchConfig{name, "perpacket", 0, -1})
-		if opt.Batch > 1 {
-			configs = append(configs, benchConfig{name, fmt.Sprintf("batch%d", opt.Batch), opt.Batch, -1})
-		}
-	}
-	results, reg, host, err := measureConfigs(opt, configs)
+// measureRound runs one shard.MeasureSharded pass observed into m and
+// returns its round record plus the raw result.
+func measureRound(cfg shard.ThroughputConfig, m *telemetry.DemuxMetrics) (round, shard.ThroughputResult, error) {
+	before := m.ExaminedSnapshot()
+	cfg.Metrics = m
+	res, err := shard.MeasureSharded(cfg)
 	if err != nil {
-		return nil, err
+		return round{}, res, err
 	}
+	h := histDiff(m.ExaminedSnapshot(), before)
+	return round{
+		NsPerOp:       res.NsPerOp,
+		LookupsPerSec: res.OpsPerSec,
+		MeanExamined:  res.Stats.MeanExamined(),
+		CacheHitRate:  res.Stats.HitRate(),
+		ExaminedP50:   h.Quantile(0.50),
+		ExaminedP90:   h.Quantile(0.90),
+		ExaminedP99:   h.Quantile(0.99),
+	}, res, nil
+}
 
-	best := make(map[string]float64)
-	for _, r := range results {
-		if r.Best.LookupsPerSec > best[r.Discipline] {
-			best[r.Discipline] = r.Best.LookupsPerSec
-		}
+// keepBest appends rd to the rounds and promotes it to best when it is
+// the fastest so far.
+func keepBest(rounds *[]round, best *round, rd round) {
+	*rounds = append(*rounds, rd)
+	if rd.LookupsPerSec > best.LookupsPerSec {
+		*best = rd
 	}
-	var sum summary
-	if best["locked-sequent"] > 0 {
-		sum.RcuOverLocked = best["rcu-sequent"] / best["locked-sequent"]
-	}
-	if best["sharded-sequent"] > 0 {
-		sum.RcuOverSharded = best["rcu-sequent"] / best["sharded-sequent"]
-	}
-	sum.MeetsRcu2xLocked = sum.RcuOverLocked >= 2.0
-	sum.MeetsRcu12xSharded = sum.RcuOverSharded >= 1.2
-
-	return &report{
-		Benchmark:  "parallel TPC/A read-heavy mix (parallel.MeasureThroughput)",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     host.NumCPU,
-		GoMaxProcs: host.GoMaxProcs,
-		Config: map[string]any{
-			"users": opt.Users, "txnsPerUser": opt.TxnsPer,
-			"readFraction": opt.Read, "workers": opt.Workers,
-			"opsPerWorker": opt.Ops, "batch": opt.Batch,
-			"chains": opt.Chains, "rounds": opt.Rounds, "seed": opt.Seed,
-			"churnKeysPerWorker": opt.ChurnKeys,
-		},
-		Results:   results,
-		Summary:   sum,
-		BestRate:  best,
-		Telemetry: reg.Snapshot(),
-	}, nil
 }
 
 // histDiff subtracts an earlier snapshot of the same histogram, giving
@@ -489,9 +340,7 @@ func runAdversarial(opt options) (*advReport, error) {
 
 	und := plainSequent{core.NewSequentHash(opt.Chains, victim)}
 	g := overload.NewGuarded(opt.Chains, victim, opt.Seed, overload.Config{})
-	rg := overload.NewRCUGuarded(opt.Chains, victim, opt.Seed, overload.Config{})
 	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
-	rg.SetTelemetry(telemetry.NewOverloadMetrics(reg, "rcu-guarded"))
 	type advTable struct {
 		name   string
 		d      advDemux
@@ -504,8 +353,6 @@ func runAdversarial(opt options) (*advReport, error) {
 			func() core.Stats { return *und.Stats() }, func() int { return 0 }},
 		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"),
 			func() core.Stats { return *g.Stats() }, func() int { return g.Rekeys }},
-		{"rcu-guarded", rg, telemetry.NewDemuxMetrics(reg, "rcu-guarded"),
-			func() core.Stats { return rg.Snapshot() }, func() int { return rg.Rekeys }},
 	}
 
 	rep := &advReport{

@@ -5,78 +5,71 @@ import (
 	"testing"
 )
 
-// TestRunSmoke drives a tiny interleaved measurement and checks the
-// report's structure: every discipline measured in both modes, rounds
-// recorded, best rounds populated, ratios computed.
-func TestRunSmoke(t *testing.T) {
+// tinyOpts is a seconds-sized operating point for the lookup-table
+// workloads.
+func tinyOpts(workload string) options {
 	opt := defaults()
+	opt.Workload = workload
 	opt.Rounds = 2
 	opt.GoMaxProcs = 2
-	opt.Workers = 2
 	opt.Ops = 2000
 	opt.Users = 60
 	opt.TxnsPer = 2
 	opt.Batch = 16
+	return opt
+}
 
-	rep, err := run(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 2*len(disciplinesUnder) {
-		t.Fatalf("got %d results", len(rep.Results))
-	}
-	seen := map[string]bool{}
-	for _, r := range rep.Results {
-		seen[r.Discipline+"/"+r.Mode] = true
-		if len(r.Rounds) != opt.Rounds {
-			t.Fatalf("%s/%s: %d rounds", r.Discipline, r.Mode, len(r.Rounds))
+// TestRunSmoke drives the workload dispatcher over the two lookup-table
+// workloads and checks each report's structure: every configuration
+// measured, rounds recorded, best rounds populated, a summary note, and
+// an unknown workload rejected.
+func TestRunSmoke(t *testing.T) {
+	for _, workload := range []string{"cache", "shard"} {
+		opt := tinyOpts(workload)
+		rep, note, err := run(opt)
+		if err != nil {
+			t.Fatalf("%s: %v", workload, err)
 		}
-		if r.Best.LookupsPerSec <= 0 || r.Best.NsPerOp <= 0 {
-			t.Fatalf("%s/%s: empty best round %+v", r.Discipline, r.Mode, r.Best)
+		if note == "" {
+			t.Fatalf("%s: empty summary note", workload)
 		}
-		if r.Best.MeanExamined < 1 {
-			t.Fatalf("%s/%s: implausible examinations %+v", r.Discipline, r.Mode, r.Best)
+		buf, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back gateReport
+		if err := json.Unmarshal(buf, &back); err != nil {
+			t.Fatal(err)
+		}
+		if len(back.Results) == 0 {
+			t.Fatalf("%s: no results", workload)
+		}
+		for _, r := range back.Results {
+			if len(r.Rounds) != opt.Rounds {
+				t.Fatalf("%s %s/%s: %d rounds", workload, r.Discipline, r.Mode, len(r.Rounds))
+			}
+			if r.Best.LookupsPerSec <= 0 || r.Best.NsPerOp <= 0 {
+				t.Fatalf("%s %s/%s: empty best round %+v", workload, r.Discipline, r.Mode, r.Best)
+			}
+			if r.Best.MeanExamined < 1 {
+				t.Fatalf("%s %s/%s: implausible examinations %+v", workload, r.Discipline, r.Mode, r.Best)
+			}
 		}
 	}
-	for _, d := range disciplinesUnder {
-		if !seen[d+"/perpacket"] || !seen[d+"/batch16"] {
-			t.Fatalf("missing modes for %s: %v", d, seen)
-		}
-	}
-	if rep.Summary.RcuOverLocked <= 0 || rep.Summary.RcuOverSharded <= 0 {
-		t.Fatalf("ratios not computed: %+v", rep.Summary)
-	}
-	if len(rep.BestRate) != len(disciplinesUnder) {
-		t.Fatalf("best rates: %+v", rep.BestRate)
-	}
-
-	// The report must round-trip as JSON (the artifact format).
-	buf, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back report
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Summary != rep.Summary {
-		t.Fatalf("summary did not round-trip: %+v vs %+v", back.Summary, rep.Summary)
+	if _, _, err := run(tinyOpts("parallel")); err == nil {
+		t.Fatal("retired parallel workload accepted")
 	}
 }
 
-// TestRunEmbedsTelemetry checks the parallel report carries per-round
-// examined percentiles and the accumulated registry snapshot.
+// TestRunEmbedsTelemetry checks the cache report carries per-round
+// examined percentiles and the accumulated registry snapshot, one
+// examined histogram family per configuration.
 func TestRunEmbedsTelemetry(t *testing.T) {
-	opt := defaults()
+	opt := tinyOpts("cache")
 	opt.Rounds = 1
-	opt.GoMaxProcs = 2
-	opt.Workers = 2
-	opt.Ops = 1000
-	opt.Users = 40
-	opt.TxnsPer = 2
 	opt.Batch = 0
 
-	rep, err := run(opt)
+	rep, err := runCache(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +83,7 @@ func TestRunEmbedsTelemetry(t *testing.T) {
 	}
 	// Each config registers one examined histogram per lookup outcome;
 	// grouped by discipline label they must cover every config, with a
-	// non-zero total per discipline.
+	// total equal to the lookups the rounds ran.
 	perDiscipline := map[string]uint64{}
 	for _, h := range rep.Telemetry.Histograms {
 		if h.Name != "demux_examined_pcbs" {
@@ -107,8 +100,8 @@ func TestRunEmbedsTelemetry(t *testing.T) {
 			len(perDiscipline), len(rep.Results), perDiscipline)
 	}
 	for d, n := range perDiscipline {
-		if n == 0 {
-			t.Fatalf("empty accumulated histograms for %s", d)
+		if n != uint64(opt.Ops*opt.Rounds) {
+			t.Fatalf("%s: %d observations, want %d", d, n, opt.Ops*opt.Rounds)
 		}
 	}
 }
@@ -124,7 +117,7 @@ func TestRunAdversarialReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Tables) != 3 {
+	if len(rep.Tables) != 2 {
 		t.Fatalf("got %d tables", len(rep.Tables))
 	}
 	und, guarded := rep.Tables[0], rep.Tables[1]

@@ -4,14 +4,9 @@ import (
 	"fmt"
 	"runtime"
 
-	"tcpdemux/internal/core"
 	"tcpdemux/internal/discipline"
-	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/parallel"
-	"tcpdemux/internal/rng"
 	"tcpdemux/internal/shard"
 	"tcpdemux/internal/telemetry"
-	"tcpdemux/internal/tpca"
 )
 
 // shardResult is one discipline/shard-count/mode configuration's
@@ -91,15 +86,10 @@ func runShard(opt options) (*shardReport, error) {
 	defer runtime.GOMAXPROCS(prev)
 	host := hostInfo{NumCPU: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0)}
 
-	stream, err := parallel.TPCAStream(opt.Users, opt.TxnsPer, opt.Seed)
+	stream, keys, steerKey, err := tpcaInputs(opt)
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]core.Key, opt.Users)
-	for i := range keys {
-		keys[i] = tpca.UserKey(i)
-	}
-	steerKey := hashfn.KeyedFromRNG(rng.New(opt.Seed ^ 0x5157_9e3779b97f4a))
 
 	sels := make(map[string]discipline.Selection, len(shardDisciplines))
 	for _, dn := range shardDisciplines {
@@ -147,8 +137,7 @@ func runShard(opt options) (*shardReport, error) {
 	}
 	for r := 0; r < opt.Rounds; r++ {
 		for i, c := range configs {
-			before := metrics[i].ExaminedSnapshot()
-			res, err := shard.MeasureSharded(shard.ThroughputConfig{
+			rd, res, err := measureRound(shard.ThroughputConfig{
 				Shards:     c.shards,
 				TotalOps:   opt.Ops,
 				Stream:     stream,
@@ -156,26 +145,12 @@ func runShard(opt options) (*shardReport, error) {
 				NewDemuxer: sels[c.disc].PerShard(),
 				Batch:      c.batch,
 				SteerKey:   steerKey,
-				Metrics:    metrics[i],
-			})
+			}, metrics[i])
 			if err != nil {
 				return nil, err
 			}
 			results[i].PerShardPCBs = res.PerShardPCBs
-			h := histDiff(metrics[i].ExaminedSnapshot(), before)
-			rd := round{
-				NsPerOp:       res.NsPerOp,
-				LookupsPerSec: res.OpsPerSec,
-				MeanExamined:  res.Stats.MeanExamined(),
-				CacheHitRate:  res.Stats.HitRate(),
-				ExaminedP50:   h.Quantile(0.50),
-				ExaminedP90:   h.Quantile(0.90),
-				ExaminedP99:   h.Quantile(0.99),
-			}
-			results[i].Rounds = append(results[i].Rounds, rd)
-			if rd.LookupsPerSec > results[i].Best.LookupsPerSec {
-				results[i].Best = rd
-			}
+			keepBest(&results[i].Rounds, &results[i].Best, rd)
 		}
 	}
 

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	demuxsim [-workload tpca|trains|polling|churn|parallel|lossy|adversarial|sharded|failover]
+//	demuxsim [-workload tpca|trains|polling|churn|lossy|adversarial|sharded|failover]
 //	         [-algos bsd,mtf,sr,sequent] [-n users] [-r response] [-d rtt]
 //	         [-chains n] [-txns perUser] [-seed n] [-drop p] [-dup p]
 //	         [-attack n] [-flood n] [-syncookies=false] [-shards n]
@@ -19,7 +19,7 @@
 // The adversarial workload mounts an algorithmic-complexity attack: it
 // synthesizes -attack tuples that all collide under the unkeyed -hash
 // function, measures the PCBs examined per packet on an undefended table
-// against the overload-guarded (keyed hash + online rekey) variants, then
+// against the overload-guarded (keyed hash + online rekey) table, then
 // fires a -flood spoofed tuple-collision SYN flood at a full listener
 // backlog and reports whether a legitimate client still connects
 // (-syncookies toggles the stateless handshake defense).
@@ -42,14 +42,9 @@
 // busiest shard of an unfaulted probe run and the fault lands at 40% of
 // the probe's completion time.
 //
-// The parallel workload replays a recorded TPC/A inbound stream through
-// the concurrent locking disciplines (-algos then names disciplines, e.g.
-// locked-sequent,sharded-sequent,rcu-sequent) with -workers goroutines,
-// optionally in -batch sized lookup trains. The cache-conscious
-// open-addressing tables register themselves as disciplines too
-// (flat-hopscotch, flat-cuckoo): their lookups probe a packed window of
-// 24-byte entries instead of chasing a PCB chain, and in batched mode
-// the train runs through the software-pipelined prefetching path; see
+// The cache-conscious open-addressing tables register themselves as
+// disciplines too (flat-hopscotch, flat-cuckoo): their lookups probe a
+// packed window of 24-byte entries instead of chasing a PCB chain; see
 // cmd/benchjson -workload cache for the measured comparison.
 package main
 
@@ -59,7 +54,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"text/tabwriter"
 
@@ -71,7 +65,6 @@ import (
 	"tcpdemux/internal/engine"
 	"tcpdemux/internal/hashfn"
 	"tcpdemux/internal/overload"
-	"tcpdemux/internal/parallel"
 	"tcpdemux/internal/rng"
 	"tcpdemux/internal/shard"
 	"tcpdemux/internal/telemetry"
@@ -93,9 +86,6 @@ func main() {
 		txns     = flag.Int("txns", 25, "measured transactions per user")
 		seed     = flag.Uint64("seed", 42, "simulation RNG seed")
 		think    = flag.String("think", "tpca", "think-time law: tpca (truncated exp), exp, const, uniform, or mix (80% 10s exp + 20% 4s exp)")
-		workers  = flag.Int("workers", 4, "parallel workload: concurrent worker goroutines")
-		ops      = flag.Int("ops", 100_000, "parallel workload: operations per worker")
-		batch    = flag.Int("batch", 0, "parallel workload: lookup train length (0 = per-packet)")
 		hash     = flag.String("hash", "multiplicative", "hash function for hashed algorithms (crc32, multiplicative, pearson, add-fold, xor-fold, ports-only)")
 		record   = flag.String("record", "", "record the packet event stream to this trace file (tpca/polling only)")
 		replay   = flag.String("replay", "", "replay a recorded trace file through the algorithms instead of simulating")
@@ -114,13 +104,10 @@ func main() {
 	)
 	flag.Parse()
 	if *list {
-		fmt.Println(strings.Join(core.Algorithms(), "\n"))
+		fmt.Println(strings.Join(discipline.Names(), "\n"))
 		return
 	}
 	algoList := strings.Split(*algos, ",")
-	if *workload == "parallel" && !flagWasSet("algos") {
-		algoList = parallel.Disciplines()
-	}
 	reg := telemetry.NewRegistry()
 	serving := false
 	if *metrics != "" {
@@ -135,8 +122,6 @@ func main() {
 	var err error
 	if *replay != "" {
 		err = runReplay(os.Stdout, *replay, algoList, *chains, *hash)
-	} else if *workload == "parallel" {
-		err = runParallel(os.Stdout, algoList, *users, *txns, *chains, *seed, *workers, *ops, *batch, *hash, reg)
 	} else if *workload == "lossy" {
 		err = runLossy(os.Stdout, algoList, *users, *txns, *chains, *seed, *drop, *dup, *hash)
 	} else if *workload == "sharded" {
@@ -160,78 +145,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "run complete; still serving metrics (interrupt to exit)")
 		select {}
 	}
-}
-
-// flagWasSet reports whether the named flag was given on the command line.
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// runParallel replays a recorded TPC/A inbound stream through each named
-// concurrent locking discipline and prints the measured rates — the
-// command-line face of the BenchmarkParallel/benchjson comparison.
-func runParallel(out io.Writer, names []string, users, txns, chains int, seed uint64, workers, ops, batch int, hashName string, reg *telemetry.Registry) error {
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	stream, err := parallel.TPCAStream(users, txns, seed)
-	if err != nil {
-		return err
-	}
-	churnKeys := make([][]core.Key, workers)
-	for w := range churnKeys {
-		base := users + 100 + w*32
-		for i := 0; i < 32; i++ {
-			churnKeys[w] = append(churnKeys[w], tpca.UserKey(base+i))
-		}
-	}
-	mode := "perpacket"
-	if batch > 1 {
-		mode = fmt.Sprintf("batch%d", batch)
-	}
-	fmt.Fprintf(out, "workload=parallel users=%d stream=%d ops workers=%d mode=%s read=0.99 chains=%d GOMAXPROCS=%d\n\n",
-		users, len(stream), workers, mode, chains, runtime.GOMAXPROCS(0))
-	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	defer w.Flush()
-	fmt.Fprintln(w, "discipline\tns/op\tlookups/sec\tPCBs/pkt\tp50\tp90\tp99\thit-rate")
-	for _, name := range names {
-		sel, err := discipline.SelectConcurrent(name, hashName, chains)
-		if err != nil {
-			return err
-		}
-		inner, err := sel.Concurrent()
-		if err != nil {
-			return err
-		}
-		m := telemetry.NewDemuxMetrics(reg, inner.Name())
-		var d parallel.ConcurrentDemuxer = telemetry.InstrumentConcurrent(inner, m, nil, nil)
-		for u := 0; u < users; u++ {
-			if err := d.Insert(core.NewPCB(tpca.UserKey(u))); err != nil {
-				return err
-			}
-		}
-		res, err := parallel.MeasureThroughput(d, parallel.ThroughputConfig{
-			Workers: workers, OpsPerWorker: ops, Stream: stream,
-			ReadFraction: 0.99, ChurnKeys: churnKeys, Batch: batch, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		h := m.ExaminedSnapshot()
-		fmt.Fprintf(w, "%s\t%.1f\t%.0f\t%.2f\t%.0f\t%.0f\t%.0f\t%.2f%%\n",
-			d.Name(), res.NsPerOp,
-			float64(res.Stats.Lookups)/res.Elapsed.Seconds(),
-			res.Stats.MeanExamined(),
-			h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99),
-			res.Stats.HitRate()*100)
-	}
-	return nil
 }
 
 // runReplay feeds a recorded trace through each named algorithm.
@@ -460,7 +373,7 @@ type advConfig struct {
 }
 
 // runAdversarial mounts the collision attack against an undefended table
-// and the overload-guarded variants, then the spoofed SYN flood against a
+// and the overload-guarded table, then the spoofed SYN flood against a
 // cookie-armed listener. Part 1's figure of merit is the mean PCBs
 // examined per lookup before and under attack; part 2's is whether a
 // legitimate client completes its handshake mid-flood. Part 3 prints the
@@ -502,16 +415,12 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 	}
 	und := plainSequent{core.NewSequentHash(chains, victim)}
 	g := overload.NewGuarded(chains, victim, seed, overload.Config{})
-	rg := overload.NewRCUGuarded(chains, victim, seed, overload.Config{})
 	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
-	rg.SetTelemetry(telemetry.NewOverloadMetrics(reg, "rcu-guarded"))
 	tables := []advTable{
 		{"sequent (undefended)", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"),
 			func() core.Stats { return *und.Stats() }, func() int { return 0 }},
 		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"),
 			func() core.Stats { return *g.Stats() }, func() int { return g.Rekeys }},
-		{"rcu-guarded", rg, telemetry.NewDemuxMetrics(reg, "rcu-guarded"),
-			func() core.Stats { return rg.Snapshot() }, func() int { return rg.Rekeys }},
 	}
 
 	// vt is the run's virtual clock: one tick per recorded lookup, so the

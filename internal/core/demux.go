@@ -67,6 +67,34 @@ type Demuxer interface {
 	Walk(fn func(*PCB) bool)
 }
 
+// Batcher is implemented by demuxers with a native batched lookup path
+// (the flat open-addressing tables' prefetch pipeline, and the
+// instrumentation wrappers that forward to one). The Result sequence and
+// statistics must equal calling Lookup once per key in order.
+type Batcher interface {
+	LookupBatch(keys []Key, dir Direction, out []Result) []Result
+}
+
+// LookupBatch resolves a train of keys through d, writing one Result per
+// key (in key order) into out, which is reused when it has capacity. It
+// takes d's native batch path when d is a Batcher and falls back to
+// per-key Lookup otherwise.
+//
+//demux:hotpath
+func LookupBatch(d Demuxer, keys []Key, dir Direction, out []Result) []Result {
+	if b, ok := d.(Batcher); ok {
+		return b.LookupBatch(keys, dir, out)
+	}
+	if cap(out) < len(keys) {
+		out = make([]Result, len(keys)) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
+	}
+	out = out[:len(keys)]
+	for i, k := range keys {
+		out[i] = d.Lookup(k, dir)
+	}
+	return out
+}
+
 // Stats accumulates per-demuxer lookup cost statistics.
 type Stats struct {
 	// Lookups is the total number of Lookup calls.

@@ -135,15 +135,11 @@ func Match(pcbKey, packet Key) int {
 	return score
 }
 
-// ExactScore is the Match score of a fully specified connection key: all
+// exactScore is the Match score of a fully specified connection key: all
 // three optional components (local address, remote address, remote port)
-// present and equal. External demultiplexers built on Match — the rcu
-// package's lock-free table, for one — compare against it to distinguish
-// an exact connection match from the best wildcard listener.
-const ExactScore = 3
-
-// exactScore is the internal alias predating the export.
-const exactScore = ExactScore
+// present and equal. The list-based demuxers compare against it to
+// distinguish an exact connection match from the best wildcard listener.
+const exactScore = 3
 
 // Direction classifies an inbound packet for demultiplexers whose probe
 // order depends on it (the SR cache examines the receive-side cache first

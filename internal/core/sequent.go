@@ -214,10 +214,8 @@ func (d *SequentHash) Walk(fn func(*PCB) bool) {
 // WalkChain is the read-only chain-walk hook: it calls fn for every PCB on
 // chain i (front = most recently inserted, or most recently used under
 // MTF) until fn returns false, without touching caches or statistics.
-// Concurrent and alternative demultiplexers that must place PCBs on the
-// same chains this table would (the rcu package's lock-free variant, the
-// parallel package's sharded variant) use it to cross-check placement
-// chain by chain. The PCB set must not be mutated during the walk.
+// overload.Guarded uses it to sample chain lengths and to migrate a
+// table chain by chain. The PCB set must not be mutated during the walk.
 func (d *SequentHash) WalkChain(i int, fn func(*PCB) bool) {
 	if i < 0 || i >= len(d.chains) {
 		return

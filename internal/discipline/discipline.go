@@ -1,10 +1,10 @@
 // Package discipline is the one place a demultiplexing discipline is
 // resolved from its command-line name. demuxd, demuxsim, and benchjson
 // all accept `-discipline`/`-algos` + `-hash` + `-chains` flags; before
-// this package each binary paired hashfn.ByName with core.New (or
-// parallel.New, or a hard-coded constructor) on its own, which is
-// exactly how the sharded workloads drifted into hard-coding
-// sequent-multiplicative regardless of the flags. Selecting through one
+// this package each binary paired hashfn.ByName with core.New (or a
+// hard-coded constructor) on its own, which is exactly how the sharded
+// workloads drifted into hard-coding sequent-multiplicative regardless
+// of the flags. Selecting through one
 // helper keeps the three binaries' name spaces identical and makes a
 // per-shard factory (what shard.Config consumes) derivable from the
 // same validated selection as a single table.
@@ -22,7 +22,6 @@ import (
 	"tcpdemux/internal/core"
 	_ "tcpdemux/internal/flat" // register flat-hopscotch / flat-cuckoo with core
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/parallel"
 )
 
 // Selection is a validated (discipline, hash, chains) triple. Zero value
@@ -71,34 +70,6 @@ func (sel Selection) PerShard() func(shard int) core.Demuxer {
 	}
 }
 
-// Concurrent constructs the selected discipline as a locking-discipline
-// concurrent demuxer (parallel.New's registry: locked, sharded, rcu,
-// the flat tables, ...). The two registries share names where a
-// discipline exists in both forms.
-func (sel Selection) Concurrent() (parallel.ConcurrentDemuxer, error) {
-	return parallel.New(sel.Name, core.Config{Chains: sel.Chains, Hash: sel.Hash})
-}
-
-// SelectConcurrent is Select against the locking-discipline registry
-// instead of the single-writer one: names like locked-sequent or
-// rcu-sequent exist only there, so Select's eager core.New validation
-// would wrongly reject them. Construction is side-effect free in both
-// registries, so trial construction is safe here too.
-func SelectConcurrent(name, hashName string, chains int) (Selection, error) {
-	hashFn, err := hashfn.ByName(hashName)
-	if err != nil {
-		return Selection{}, err
-	}
-	sel := Selection{Name: strings.TrimSpace(name), Chains: chains, Hash: hashFn}
-	if _, err := sel.Concurrent(); err != nil {
-		return Selection{}, err
-	}
-	return sel, nil
-}
-
-// Names returns the single-writer registry's discipline names, sorted.
+// Names returns the registered discipline names, sorted — the one
+// namespace demuxd -list, demuxsim -list, and benchjson resolve.
 func Names() []string { return core.Algorithms() }
-
-// ConcurrentNames returns the locking-discipline registry's names,
-// sorted.
-func ConcurrentNames() []string { return parallel.Disciplines() }

@@ -44,25 +44,8 @@ func TestPerShardReturnsIndependentTables(t *testing.T) {
 	}
 }
 
-func TestSelectConcurrentUsesParallelRegistry(t *testing.T) {
-	// rcu-sequent exists only in the locking-discipline registry.
-	if _, err := Select("rcu-sequent", "multiplicative", 64); err == nil {
-		t.Error("single-writer Select accepted a parallel-only name")
-	}
-	sel, err := SelectConcurrent("rcu-sequent", "multiplicative", 64)
-	if err != nil {
-		t.Fatalf("SelectConcurrent: %v", err)
-	}
-	if _, err := sel.Concurrent(); err != nil {
-		t.Errorf("Concurrent: %v", err)
-	}
-	if _, err := SelectConcurrent("no-such", "multiplicative", 64); err == nil {
-		t.Error("unknown concurrent discipline accepted")
-	}
-}
-
 func TestNamesNonEmpty(t *testing.T) {
-	if len(Names()) == 0 || len(ConcurrentNames()) == 0 {
-		t.Fatalf("empty registries: %v / %v", Names(), ConcurrentNames())
+	if len(Names()) == 0 {
+		t.Fatal("empty registry")
 	}
 }

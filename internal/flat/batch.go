@@ -2,7 +2,6 @@ package flat
 
 import (
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/stripestat"
 )
 
 // This file is the software-pipelined batch lookup path. The per-packet
@@ -17,11 +16,25 @@ import (
 // window is (ideally) already in cache, overlapping k resolutions with
 // each group's memory latency.
 //
-// The contract mirrors rcu.Demuxer.LookupBatch exactly: the Result
-// sequence and the statistics it folds are identical to calling Lookup
-// once per key in order — the cross-discipline batch conformance test
-// asserts this byte for byte, and it holds by construction because both
-// paths resolve through the same lookupHashed.
+// The contract is core.Batcher's: the Result sequence and the statistics
+// it folds are identical to calling Lookup once per key in order — the
+// batch conformance test asserts this byte for byte, and it holds by
+// construction because both paths resolve through the same lookupHashed
+// and fold through the same core.Stats.Record.
+
+// hashTrain fills the scratch hash buffer for a train and returns it.
+//
+//demux:hotpath
+func (c *tableCommon) hashTrain(keys []core.Key) []uint32 {
+	if cap(c.scratch) < len(keys) {
+		c.scratch = make([]uint32, len(keys)) //demux:allowalloc amortized: grows the table-owned hash scratch once, then reused across trains
+	}
+	hs := c.scratch[:len(keys)]
+	for i, k := range keys {
+		hs[i] = c.hashOf(k)
+	}
+	return hs
+}
 
 // ensureOut grows the caller's result buffer to n results when needed.
 //
@@ -33,34 +46,6 @@ func ensureOut(out []core.Result, n int) []core.Result {
 	return out[:n]
 }
 
-// lookupBatch implements Table for Hopscotch: resolve the train with the
-// probe pipeline, accumulating statistics batch-locally for the caller
-// to fold.
-//
-//demux:hotpath
-func (t *Hopscotch) lookupBatch(keys []core.Key, dir core.Direction, out []core.Result) ([]core.Result, core.Stats) {
-	out = ensureOut(out, len(keys))
-	var st core.Stats
-	if len(keys) == 0 {
-		return out, st
-	}
-	s := t.scratchFor(len(keys))
-	for i, k := range keys {
-		s.hash[i] = t.hashOf(k)
-	}
-	d := t.depth
-	for i := range keys {
-		if j := i + d; d > 0 && j < len(keys) {
-			prefetchSpan(t.window(s.hash[j]), &s.sink)
-		}
-		r := t.lookupHashed(keys[i], s.hash[i])
-		stripestat.Accumulate(&st, r)
-		out[i] = r
-	}
-	t.releaseScratch(s)
-	return out, st
-}
-
 // LookupBatch demultiplexes a train of inbound keys in one call,
 // returning one Result per key in key order, with the probe group for
 // packet i+k prefetched while packet i resolves (k = PrefetchDepth; 0
@@ -68,47 +53,39 @@ func (t *Hopscotch) lookupBatch(keys []core.Key, dir core.Direction, out []core.
 // calling Lookup once per key. out is reused when it has capacity.
 //
 //demux:hotpath
-func (t *Hopscotch) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out, st := t.lookupBatch(keys, dir, out)
-	t.merge(st)
-	return out
-}
-
-// lookupBatch implements Table for Cuckoo. The pipeline prefetches the
-// first candidate bucket — the bucket that terminates the probe for
-// every present key that has not been kicked, i.e. most of them.
-//
-//demux:hotpath
-func (t *Cuckoo) lookupBatch(keys []core.Key, dir core.Direction, out []core.Result) ([]core.Result, core.Stats) {
+func (t *Hopscotch) LookupBatch(keys []core.Key, _ core.Direction, out []core.Result) []core.Result {
 	out = ensureOut(out, len(keys))
-	var st core.Stats
-	if len(keys) == 0 {
-		return out, st
-	}
-	s := t.scratchFor(len(keys))
-	for i, k := range keys {
-		s.hash[i] = t.hashOf(k)
-	}
+	hs := t.hashTrain(keys)
 	d := t.depth
 	for i := range keys {
 		if j := i + d; d > 0 && j < len(keys) {
-			prefetchSpan(t.bucket(s.hash[j]&t.mask), &s.sink)
+			prefetchSpan(t.window(hs[j]), &t.sink)
 		}
-		r := t.lookupHashed(keys[i], s.hash[i])
-		stripestat.Accumulate(&st, r)
+		r := t.lookupHashed(keys[i], hs[i])
+		t.record(r)
 		out[i] = r
 	}
-	t.releaseScratch(s)
-	return out, st
+	return out
 }
 
 // LookupBatch demultiplexes a train of inbound keys in one call — see
 // Hopscotch.LookupBatch for the contract; the cuckoo pipeline prefetches
-// each key's first candidate bucket.
+// each key's first candidate bucket, the bucket that terminates the
+// probe for every present key that has not been kicked, i.e. most of
+// them.
 //
 //demux:hotpath
-func (t *Cuckoo) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out, st := t.lookupBatch(keys, dir, out)
-	t.merge(st)
+func (t *Cuckoo) LookupBatch(keys []core.Key, _ core.Direction, out []core.Result) []core.Result {
+	out = ensureOut(out, len(keys))
+	hs := t.hashTrain(keys)
+	d := t.depth
+	for i := range keys {
+		if j := i + d; d > 0 && j < len(keys) {
+			prefetchSpan(t.bucket(hs[j]&t.mask), &t.sink)
+		}
+		r := t.lookupHashed(keys[i], hs[i])
+		t.record(r)
+		out[i] = r
+	}
 	return out
 }

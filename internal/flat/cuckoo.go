@@ -34,7 +34,7 @@ const (
 // Kick victims rotate through a deterministic counter (no randomness:
 // demuxvet's seededrand rule and the repo's determinism discipline apply
 // to table maintenance as much as to simulation). Not safe for
-// concurrent use; wrap in Concurrent for that.
+// concurrent use: each shard owns its own table.
 type Cuckoo struct {
 	tableCommon
 	entries []entry // len = nbuckets * bucketSlots, bucket-major
@@ -124,13 +124,6 @@ func (t *Cuckoo) Lookup(k core.Key, _ core.Direction) core.Result {
 	r := t.lookupHashed(k, t.hashOf(k))
 	t.record(r)
 	return r
-}
-
-// LookupRaw implements Table: Lookup without the statistics fold.
-//
-//demux:hotpath
-func (t *Cuckoo) LookupRaw(k core.Key, _ core.Direction) core.Result {
-	return t.lookupHashed(k, t.hashOf(k))
 }
 
 // Insert implements core.Demuxer. Wildcard keys register listeners;

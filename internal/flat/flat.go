@@ -3,13 +3,12 @@
 // memory hierarchy rather than around the paper's list structures.
 //
 // The paper's disciplines (§3.1–3.4) and their descendants under
-// internal/core, internal/parallel and internal/rcu all resolve a lookup
-// by walking a chain — and every chain hop lands on a different cache
-// line, so a lookup that examines E PCBs costs ~E cache lines of memory
-// traffic. After the synchronization work of the earlier PRs, that memory
-// behaviour is the dominant remaining cost (BENCH_parallel.json measures
-// the locked Sequent baseline at ~395 mean examined PCBs per lookup at
-// 6,000 users over 19 chains). This package removes the pointer chase
+// internal/core all resolve a lookup by walking a chain — and every chain
+// hop lands on a different cache line, so a lookup that examines E PCBs
+// costs ~E cache lines of memory traffic. At the paper's operating point
+// that memory behaviour is the dominant cost (BENCH_cache.json measures
+// the Sequent baseline at ~160 mean examined PCBs per lookup at 6,000
+// users over 19 chains). This package removes the pointer chase
 // entirely, following the cache-aware forwarding-table layout of Yegorov
 // and the pipelined lookup architecture of Jiang et al. (PAPERS.md):
 //
@@ -28,13 +27,12 @@
 //     prefetched (portable shim, see prefetch.go), hiding the memory
 //     latency the per-packet path pays serially.
 //
-// Both tables implement core.Demuxer (single-goroutine, like the core
-// algorithms); Concurrent wraps either in a read-write lock with striped
-// statistics and implements parallel.ConcurrentDemuxer, mirroring
-// rcu.Demuxer's LookupBatch contract so it drops into the existing batch
-// drivers. Neither table keeps the chained disciplines' one-entry caches:
-// a probe group costs about as much as a cache probe would, so Result.
-// CacheHit is always false and Stats.Hits stays zero.
+// Both tables implement core.Demuxer and core.Batcher and are
+// single-writer, like the core algorithms: in the sharded engine each
+// shard owns its table outright. Neither table keeps the chained
+// disciplines' one-entry caches: a probe group costs about as much as a
+// cache probe would, so Result.CacheHit is always false and Stats.Hits
+// stays zero.
 //
 // Deletions need no tombstones in either scheme — a hopscotch lookup
 // scans its fixed neighborhood and a cuckoo lookup its two buckets
@@ -43,7 +41,6 @@
 package flat
 
 import (
-	"sync"
 	"unsafe"
 
 	"tcpdemux/internal/core"
@@ -142,9 +139,8 @@ const DefaultPrefetchDepth = 4
 type tableCommon struct {
 	hash hashfn.Func
 	// mult short-circuits hashOf to the concrete (inlinable)
-	// multiplicative hash when hash is the default, as in the rcu table:
-	// an interface call per packet is a real fraction of a one-group
-	// probe.
+	// multiplicative hash when hash is the default: an interface call per
+	// packet is a real fraction of a one-group probe.
 	mult bool
 
 	slab   slab
@@ -154,9 +150,11 @@ type tableCommon struct {
 	depth int // prefetch pipeline depth k; 0 disables
 	stats core.Stats
 
-	// scratch pools the per-batch hash buffer and prefetch sink so
-	// concurrent readers of the Concurrent wrapper never share one.
-	scratch sync.Pool
+	// scratch holds the precomputed hash of every key in the current
+	// train; sink is the accumulator the prefetch shim stores into so the
+	// early loads cannot be optimized away.
+	scratch []uint32
+	sink    uint64
 }
 
 func (c *tableCommon) init(fn hashfn.Func) {
@@ -248,19 +246,6 @@ func (c *tableCommon) listenWalk(fn func(*core.PCB) bool) bool {
 //demux:hotpath
 func (c *tableCommon) record(r core.Result) { c.stats.Record(r) }
 
-// merge folds a batch's accumulated statistics into the table's
-// statistics, equivalently to recording each result individually.
-func (c *tableCommon) merge(st core.Stats) {
-	c.stats.Lookups += st.Lookups
-	c.stats.Examined += st.Examined
-	c.stats.Hits += st.Hits
-	c.stats.Misses += st.Misses
-	c.stats.WildcardHits += st.WildcardHits
-	if st.MaxExamined > c.stats.MaxExamined {
-		c.stats.MaxExamined = st.MaxExamined
-	}
-}
-
 // Stats implements core.Demuxer; the pointer stays live.
 func (c *tableCommon) Stats() *core.Stats { return &c.stats }
 
@@ -270,30 +255,6 @@ func (c *tableCommon) NotifySend(*core.PCB) {}
 
 // Len implements core.Demuxer.
 func (c *tableCommon) Len() int { return c.n + len(c.listen) }
-
-// batchScratch is the pooled per-batch state: the precomputed hash of
-// every key in the train and the prefetch sink the shim stores into so
-// the early loads cannot be optimized away.
-type batchScratch struct {
-	hash []uint32
-	sink uint64
-}
-
-// scratchFor fetches (or builds) a scratch sized for n keys.
-func (c *tableCommon) scratchFor(n int) *batchScratch {
-	s, _ := c.scratch.Get().(*batchScratch)
-	if s == nil {
-		s = &batchScratch{}
-	}
-	if cap(s.hash) < n {
-		s.hash = make([]uint32, n)
-	}
-	s.hash = s.hash[:n]
-	return s
-}
-
-// releaseScratch returns the scratch to the pool.
-func (c *tableCommon) releaseScratch(s *batchScratch) { c.scratch.Put(s) }
 
 // roundPow2 rounds n up to a power of two, at least min.
 func roundPow2(n, min int) int {
@@ -305,24 +266,14 @@ func roundPow2(n, min int) int {
 }
 
 // Table is the interface both open-addressing variants satisfy: a
-// core.Demuxer plus the raw (statistics-free) probes the Concurrent
-// wrapper builds on and the prefetch-depth control the benchmark drivers
-// sweep. Only this package's tables implement it (the batch hook is
-// unexported).
+// core.Demuxer with a native pipelined batch path, plus the
+// prefetch-depth control the benchmark harnesses sweep.
 type Table interface {
 	core.Demuxer
-
-	// LookupRaw is Lookup without the statistics fold: a pure read of
-	// the table, safe for concurrent readers while no writer runs.
-	LookupRaw(k core.Key, dir core.Direction) core.Result
+	core.Batcher
 
 	// SetPrefetchDepth and PrefetchDepth control the batch pipeline
 	// depth k.
 	SetPrefetchDepth(k int)
 	PrefetchDepth() int
-
-	// lookupBatch resolves a train without touching the table's own
-	// statistics, returning the batch's accumulated stats for the caller
-	// to fold wherever it accounts lookups.
-	lookupBatch(keys []core.Key, dir core.Direction, out []core.Result) ([]core.Result, core.Stats)
 }

@@ -23,7 +23,7 @@ const hopRange = 8
 // The table slice carries hopRange-1 spillover slots past the last home
 // so no window ever wraps — windows are always one contiguous range.
 //
-// Not safe for concurrent use; wrap in Concurrent for that.
+// Not safe for concurrent use: each shard owns its own table.
 type Hopscotch struct {
 	tableCommon
 	entries []entry // len = size + hopRange - 1
@@ -94,13 +94,6 @@ func (t *Hopscotch) Lookup(k core.Key, _ core.Direction) core.Result {
 	r := t.lookupHashed(k, t.hashOf(k))
 	t.record(r)
 	return r
-}
-
-// LookupRaw implements Table: Lookup without the statistics fold.
-//
-//demux:hotpath
-func (t *Hopscotch) LookupRaw(k core.Key, _ core.Direction) core.Result {
-	return t.lookupHashed(k, t.hashOf(k))
 }
 
 // Insert implements core.Demuxer. Wildcard keys register listeners;

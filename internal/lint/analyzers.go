@@ -2,18 +2,16 @@ package lint
 
 // VirtualTimePackages are the packages driven by the simulation's virtual
 // clock: results they produce must be a pure function of configuration
-// and seed, so the wall clock is off limits. internal/parallel and
-// internal/shard are included because their lookup streams, churn
-// schedules, and steering epochs must replay deterministically; each
-// package's one legitimate wall-clock consumer — the throughput
-// measurement itself — carries a //demux:wallclock waiver.
+// and seed, so the wall clock is off limits. internal/shard is included
+// because its lookup streams and steering epochs must replay
+// deterministically; its one legitimate wall-clock consumer — the
+// throughput measurement itself — carries a //demux:wallclock waiver.
 var VirtualTimePackages = []string{
 	"tcpdemux/internal/sim",
 	"tcpdemux/internal/engine",
 	"tcpdemux/internal/timer",
 	"tcpdemux/internal/tpca",
 	"tcpdemux/internal/cachesim",
-	"tcpdemux/internal/parallel",
 	"tcpdemux/internal/shard",
 }
 

@@ -41,10 +41,9 @@ var publishMethods = map[string]bool{
 //  2. Store-before-publish ordering: once a pointer has been published
 //     through a marked field (f.Store(p), f.Swap(p), the new value of
 //     f.CompareAndSwap(_, p)), the publishing function must not keep
-//     writing through it. The COW swap sites in internal/rcu and
-//     internal/overload build the replacement chain or table pair
-//     completely and then publish; a write after the Store would hand
-//     lock-free readers a half-built value. The check is positional
+//     writing through it. A copy-on-write swap site must build the
+//     replacement value completely and then publish; a write after the
+//     Store would hand lock-free readers a half-built value. The check is positional
 //     within one function body — a write that textually follows the
 //     publishing call and targets the published pointer is flagged.
 //

@@ -1,12 +1,13 @@
 // Package lint is demuxvet: a family of static analyzers that
-// mechanically enforce the repository's determinism, RCU, and hot-path
-// invariants. The reproduction's figure of merit (PCBs examined per
-// inbound packet) is trustworthy only because the simulation is
-// deterministic — virtual time driven by Stack.Tick, seeded RNG via
-// internal/rng, and lock-free reads in internal/rcu that are correct only
-// if every chain/cache access goes through atomic publication. These
-// invariants used to live in comments and reviewer memory; this package
-// turns them into machine-checked rules.
+// mechanically enforce the repository's determinism, concurrency-contract,
+// and hot-path invariants. The reproduction's figure of merit (PCBs
+// examined per inbound packet) is trustworthy only because the simulation
+// is deterministic — virtual time driven by Stack.Tick, seeded RNG via
+// internal/rng — and because state shared across goroutines (telemetry
+// stripes, shard rings, health words) is touched only through atomic
+// operations or by its single owner. These invariants used to live in
+// comments and code-review habit; this package turns them into
+// machine-checked rules.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
 // Pass, Diagnostic) so the analyzers could be ported to the real driver

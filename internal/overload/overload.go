@@ -21,9 +21,8 @@
 //     pause, and the attacker must re-derive the (secret, unknowable) key
 //     placement to re-skew the table.
 //
-// Guarded in this file wraps the locked (single-goroutine) SequentHash;
-// rcuguard.go applies the same protocol to the lock-free rcu.Demuxer with
-// COW table-pair republication.
+// Guarded wraps the single-writer SequentHash; in the sharded engine each
+// shard owns its table, so the rekey needs no lock.
 package overload
 
 import (
@@ -154,8 +153,7 @@ func chainsFor(pop, cur int, cfg Config) int {
 
 // Guarded wraps core.SequentHash with the watchdog and the online
 // incremental rekey. It is a core.Demuxer: like every demuxer in core it
-// is single-goroutine ("locked" in the parallel package's sense — wrap it
-// there for concurrent use); the online property it provides is bounded
+// is single-goroutine; the online property it provides is bounded
 // per-operation work, never a stop-the-world rehash of the whole table.
 //
 // During a migration the PCB set is split between cur (not yet migrated)
@@ -341,10 +339,6 @@ func (g *Guarded) ChainLengths() []int64 {
 	}
 	return g.cur.ChainLengths()
 }
-
-// MaybeRekey runs one watchdog check immediately (the sampled path does
-// this every CheckEvery lookups).
-func (g *Guarded) MaybeRekey() { g.maybeRekey() }
 
 // maybeRekey samples chain lengths and starts a migration on skew.
 func (g *Guarded) maybeRekey() {

@@ -5,7 +5,6 @@ import (
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/rcu"
 	"tcpdemux/internal/wire"
 )
 
@@ -57,15 +56,9 @@ func TestConstructorChainGuards(t *testing.T) {
 		if got := core.NewSequentHash(h, nil).NumChains(); got != core.DefaultChains {
 			t.Errorf("NewSequentHash(%d) chains = %d", h, got)
 		}
-		if got := rcu.New(h, nil).NumChains(); got != core.DefaultChains {
-			t.Errorf("rcu.New(%d) chains = %d", h, got)
-		}
-		if got := NewGuarded(h, nil, 1, Config{}).NumChains(); got != core.DefaultChains {
+		g := NewGuarded(h, nil, 1, Config{})
+		if got := g.NumChains(); got != core.DefaultChains {
 			t.Errorf("NewGuarded(%d) chains = %d", h, got)
-		}
-		g := NewRCUGuarded(h, nil, 1, Config{})
-		if got := g.state.Load().cur.NumChains(); got != core.DefaultChains {
-			t.Errorf("NewRCUGuarded(%d) chains = %d", h, got)
 		}
 		// The clamped tables must actually work.
 		p := core.NewPCB(core.KeyFromTuple(hashfn.SequentialClients(1)[0]))
@@ -130,25 +123,12 @@ func TestAttackSkewsUndefendedSequent(t *testing.T) {
 	}
 }
 
-// defended abstracts Guarded and RCUGuarded for the shared
-// attack/recovery conformance driver.
-type defended interface {
-	Insert(*core.PCB) error
-	Remove(k core.Key) bool
-	Lookup(core.Key, core.Direction) core.Result
-	Len() int
-	Walk(func(*core.PCB) bool)
-	Migrating() bool
-	Advance(int)
-	MaybeRekey()
-}
-
 // runAttackRecovery is the acceptance-criterion driver: benign phase to
 // establish the baseline, collision attack against the initial (unkeyed)
 // hash, watchdog detection, online migration with every lookup checked
 // against the map-demux oracle while it runs, and a recovery phase whose
 // mean examinations must come within 2x of the benign baseline.
-func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys func() int) {
+func runAttackRecovery(t *testing.T, d *Guarded) {
 	t.Helper()
 	oracle := core.NewMapDemux()
 	insert := func(p *core.PCB) {
@@ -193,14 +173,14 @@ func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys
 		benignKeys[i] = core.KeyFromTuple(tu)
 		insert(core.NewPCB(benignKeys[i]))
 	}
-	s0 := stats()
+	s0 := *d.Stats()
 	for round := 0; round < 5; round++ {
 		verify(benignKeys)
 	}
-	s1 := stats()
+	s1 := *d.Stats()
 	baseline := mean(s0, s1)
-	if rekeys() != 0 {
-		t.Fatalf("benign population triggered %d rekeys", rekeys())
+	if d.Rekeys != 0 {
+		t.Fatalf("benign population triggered %d rekeys", d.Rekeys)
 	}
 
 	// Attack: the adversary knows the deployed unkeyed hash and floods
@@ -227,7 +207,7 @@ func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys
 			verify(attackKeys[max(0, i-50) : i+1])
 		}
 	}
-	if rekeys() == 0 {
+	if d.Rekeys == 0 {
 		t.Fatal("watchdog never detected the collision attack")
 	}
 
@@ -248,11 +228,11 @@ func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys
 	}
 
 	// Recovery: the full population under the fresh key.
-	s2 := stats()
+	s2 := *d.Stats()
 	for round := 0; round < 3; round++ {
 		verify(allKeys)
 	}
-	s3 := stats()
+	s3 := *d.Stats()
 	recovered := mean(s2, s3)
 	if recovered > 2*baseline {
 		t.Fatalf("recovery mean %.2f exceeds 2x benign baseline %.2f", recovered, baseline)
@@ -274,14 +254,12 @@ func runAttackRecovery(t *testing.T, d defended, stats func() core.Stats, rekeys
 		}
 	}
 	verify(allKeys[:200])
-	t.Logf("baseline mean examined %.2f, recovered %.2f (%.2fx), rekeys %d", baseline, recovered, recovered/baseline, rekeys())
+	t.Logf("baseline mean examined %.2f, recovered %.2f (%.2fx), rekeys %d", baseline, recovered, recovered/baseline, d.Rekeys)
 }
 
 func TestGuardedAttackRecovery(t *testing.T) {
 	g := NewGuarded(attackChains, hashfn.Multiplicative{}, 1, Config{CheckEvery: 64})
-	runAttackRecovery(t, g,
-		func() core.Stats { return *g.Stats() },
-		func() int { return g.Rekeys })
+	runAttackRecovery(t, g)
 	if g.MigratedPCBs == 0 {
 		t.Error("no PCBs migrated incrementally")
 	}

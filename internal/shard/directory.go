@@ -6,7 +6,7 @@ import (
 )
 
 // Directory is the generation-checked connection-ID table that makes
-// cross-shard migration safe. It extends the DirectIndex / connid idiom
+// cross-shard migration safe. It extends the §3.5 DirectIndex idiom
 // — a dense array indexed by a small integer the server chose at accept
 // time — with one packed atomic word per slot:
 //

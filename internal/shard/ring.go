@@ -6,7 +6,7 @@
 // registration fan-out, connection migration after a steering rekey, and
 // stale-steered frame forwarding) moves over lock-free single-producer /
 // single-consumer handoff rings, with a generation-checked connection-ID
-// directory extending the DirectIndex / connid idiom so a migrated PCB
+// directory extending the §3.5 DirectIndex idiom so a migrated PCB
 // can never be resolved against a stale shard.
 //
 // This is the [Dov90]/EXP-PAR endgame the ROADMAP names: the paper

@@ -8,63 +8,9 @@ import (
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/parallel"
 	"tcpdemux/internal/telemetry"
+	"tcpdemux/internal/tpca"
 )
-
-// privateDemux adapts a plain single-goroutine core.Demuxer to the
-// telemetry.ConcurrentDemuxer shape so it can sit under a
-// telemetry.LocalDemux observer. No locking is added — that is the
-// point: in the sharded model each demuxer is owned by exactly one
-// worker, so the whole synchronization budget of the parallel
-// disciplines (chain locks, RCU epochs, reader-writer locks) simply
-// disappears from the packet path.
-type privateDemux struct {
-	d core.Demuxer
-}
-
-// Name implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Name() string { return p.d.Name() }
-
-// Insert implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Insert(q *core.PCB) error { return p.d.Insert(q) }
-
-// Remove implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Remove(k core.Key) bool { return p.d.Remove(k) }
-
-// Lookup implements telemetry.ConcurrentDemuxer.
-//
-//demux:hotpath
-func (p privateDemux) Lookup(k core.Key, dir core.Direction) core.Result {
-	return p.d.Lookup(k, dir)
-}
-
-// LookupBatch implements telemetry.ConcurrentDemuxer by per-key lookup:
-// a private table needs no lock amortization, so a train is just a loop.
-//
-//demux:hotpath
-func (p privateDemux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	if cap(out) < len(keys) {
-		out = make([]core.Result, len(keys)) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
-	}
-	out = out[:len(keys)]
-	for i, k := range keys {
-		out[i] = p.d.Lookup(k, dir)
-	}
-	return out
-}
-
-// NotifySend implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) NotifySend(q *core.PCB) { p.d.NotifySend(q) }
-
-// Len implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Len() int { return p.d.Len() }
-
-// Snapshot implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Snapshot() core.Stats { return *p.d.Stats() }
-
-// Walk implements telemetry.ConcurrentDemuxer.
-func (p privateDemux) Walk(fn func(*core.PCB) bool) { p.d.Walk(fn) }
 
 // ThroughputConfig parameterizes one MeasureSharded run.
 type ThroughputConfig struct {
@@ -74,14 +20,16 @@ type ThroughputConfig struct {
 	// TotalOps is the number of lookup operations across all shards; each
 	// shard performs its steering-weighted share.
 	TotalOps int
-	// Stream is the recorded TPC/A lookup sequence (parallel.TPCAStream).
-	Stream []parallel.Op
+	// Stream is the recorded TPC/A lookup sequence (tpca.Stream).
+	Stream []tpca.Op
 	// Keys is the full connection population to insert; each shard
 	// receives only the keys that steer to it.
 	Keys []core.Key
-	// NewDemuxer builds one shard's private discipline. Required.
+	// NewDemuxer builds one shard's private discipline. Required. It may
+	// also configure the table, e.g. a flat table's prefetch depth.
 	NewDemuxer func(shard int) core.Demuxer
-	// Batch > 1 drives lookups in trains of this size.
+	// Batch > 1 drives lookups in trains of this size, through the
+	// table's native batch path when it has one (core.LookupBatch).
 	Batch int
 	// SteerKey is the RSS steering secret (DefaultKeyed if zero-valued
 	// keys are fine for a bench; pass hashfn.DefaultKeyed).
@@ -113,7 +61,9 @@ type ThroughputResult struct {
 // it is untimed here), each shard's private demuxer is populated with
 // exactly the connections that steer to it, and then N workers drain
 // their private sub-streams concurrently — no locks, no shared mutable
-// state, per-worker LocalDemux observation flushed at exit.
+// state, per-worker LocalDemux observation flushed at exit. With one
+// shard it is the single-writer harness every lookup table is measured
+// through.
 //
 // The Shards=1 run of the same configuration is the single-queue
 // baseline. The speedup at N has two independent sources: core
@@ -137,15 +87,15 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 
 	// Untimed RSS model: split the recorded stream and the connection
 	// population by steering hash.
-	subStream := make([][]parallel.Op, cfg.Shards)
+	subStream := make([][]tpca.Op, cfg.Shards)
 	for _, op := range cfg.Stream {
 		i := steer.Shard(op.Key.Tuple())
 		subStream[i] = append(subStream[i], op)
 	}
-	demux := make([]telemetry.ConcurrentDemuxer, cfg.Shards)
+	demux := make([]core.Demuxer, cfg.Shards)
 	pcbs := make([]int, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		demux[i] = privateDemux{d: cfg.NewDemuxer(i)}
+		demux[i] = cfg.NewDemuxer(i)
 	}
 	for _, k := range cfg.Keys {
 		i := steer.Shard(k.Tuple())
@@ -156,14 +106,19 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 	}
 
 	// Each shard's op quota is its steering-weighted share of TotalOps —
-	// the load a NIC would actually hand it.
+	// the load a NIC would actually hand it. The rounding remainder goes
+	// to the first shard with a sub-stream to replay, never to an idle
+	// one, so every counted op is run.
 	shardOps := make([]int, cfg.Shards)
-	assigned := 0
+	assigned, busy := 0, -1
 	for i := range shardOps {
 		shardOps[i] = cfg.TotalOps * len(subStream[i]) / len(cfg.Stream)
 		assigned += shardOps[i]
+		if busy < 0 && len(subStream[i]) > 0 {
+			busy = i
+		}
 	}
-	shardOps[0] += cfg.TotalOps - assigned // rounding remainder
+	shardOps[busy] += cfg.TotalOps - assigned
 
 	var (
 		wg    sync.WaitGroup
@@ -191,7 +146,7 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 			)
 			flush := func() {
 				if len(keys) > 0 {
-					results = d.LookupBatch(keys, dir, results)
+					results = core.LookupBatch(d, keys, dir, results)
 					keys = keys[:0]
 				}
 			}
@@ -227,7 +182,7 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 		PerShardPCBs: pcbs,
 	}
 	for i := range demux {
-		st := demux[i].Snapshot()
+		st := demux[i].Stats()
 		res.Stats.Lookups += st.Lookups
 		res.Stats.Hits += st.Hits
 		res.Stats.Misses += st.Misses

@@ -5,16 +5,15 @@ import (
 
 	"tcpdemux/internal/core"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/parallel"
 	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/tpca"
 )
 
 // shardBenchInputs builds the TPC/A population and lookup stream the
 // sharded throughput tests replay.
-func shardBenchInputs(t *testing.T, users int) ([]parallel.Op, []core.Key) {
+func shardBenchInputs(t *testing.T, users int) ([]tpca.Op, []core.Key) {
 	t.Helper()
-	stream, err := parallel.TPCAStream(users, 4, 7)
+	stream, err := tpca.Stream(users, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +118,51 @@ func TestMeasureShardedBatchAndMetrics(t *testing.T) {
 	}
 	if h := m.ExaminedSnapshot(); h.Count != uint64(res.Ops) {
 		t.Fatalf("LocalDemux flushed %d observations, want %d", h.Count, res.Ops)
+	}
+}
+
+// TestMeasureShardedCountsOnlyRunOps replays a tiny stream that steers
+// nothing to shard 0, one key to shard 1 and two to shard 2, so the
+// steering-weighted quotas (10 ops: 3 and 6) leave a rounding remainder.
+// The remainder must be run by a shard with a sub-stream, not credited
+// to the idle shard 0: every op the result reports was a lookup.
+func TestMeasureShardedCountsOnlyRunOps(t *testing.T) {
+	steerKey := hashfn.NewKeyed(11, 13)
+	steer := NewSteering(3, steerKey)
+	var stream []tpca.Op
+	var keys []core.Key
+	want := map[int]int{1: 1, 2: 2}
+	for u := 0; len(keys) < 3; u++ {
+		if u > 10_000 {
+			t.Fatal("no keys steering to shards 1 and 2")
+		}
+		k := tpca.UserKey(u)
+		if s := steer.Shard(k.Tuple()); want[s] > 0 {
+			want[s]--
+			keys = append(keys, k)
+			stream = append(stream, tpca.Op{Key: k, Dir: core.DirData})
+		}
+	}
+	for _, batch := range []int{0, 4} {
+		res, err := MeasureSharded(ThroughputConfig{
+			Shards:     3,
+			TotalOps:   10,
+			Stream:     stream,
+			Keys:       keys,
+			NewDemuxer: func(int) core.Demuxer { return core.NewSequentHash(0, nil) },
+			Batch:      batch,
+			SteerKey:   steerKey,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Lookups != uint64(res.Ops) {
+			t.Fatalf("batch %d: ran %d lookups, reported %d ops (per shard %v)",
+				batch, res.Stats.Lookups, res.Ops, res.PerShardOps)
+		}
+		if res.PerShardOps[0] != 0 {
+			t.Fatalf("batch %d: idle shard 0 credited %d ops: %v", batch, res.PerShardOps[0], res.PerShardOps)
+		}
 	}
 }
 

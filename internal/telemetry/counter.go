@@ -8,8 +8,7 @@ import (
 
 // counterSlot is one cache-line-padded stripe of a counter. Padding to
 // 64 bytes keeps concurrent writers on different slots from bouncing a
-// line between CPUs — the same false-sharing guard the RCU statistics
-// stripes apply.
+// line between CPUs.
 type counterSlot struct {
 	v atomic.Uint64 //demux:atomic
 	_ [56]byte

@@ -16,8 +16,8 @@ const (
 
 	// histPackShift packs each bucket's observation count above its value
 	// sum in one atomic word, so the hot path pays exactly one atomic add
-	// for count, sum, and bucket placement together (the internal/rcu
-	// stripe idiom, applied per bucket). The drain thresholds transfer the
+	// for count, sum, and bucket placement together (the stripe idiom,
+	// applied per bucket). The drain thresholds transfer the
 	// word to the 64-bit spill counters long before either field can wrap:
 	// the count field at 2^22 observations, the sum field at half its
 	// 40-bit capacity.

@@ -1,6 +1,6 @@
 // Instrumentation wrappers and metric bundles: the glue between the
-// registry and the structures under internal/core, internal/rcu,
-// internal/parallel, internal/overload, and internal/engine.
+// registry and the structures under internal/core, internal/flat,
+// internal/overload, and internal/engine.
 //
 // The demuxers themselves stay untouched — instrumentation is a wrapper
 // that observes each lookup's core.Result into a DemuxMetrics bundle
@@ -21,7 +21,7 @@ import (
 // means Observe pays exactly one atomic add per lookup (the histogram's
 // packed bucket word) instead of a histogram update plus a separate
 // classification counter — that second uncontended RMW alone was worth
-// ~7ns/op on BenchmarkParallelTPCA, well over the 5% overhead budget.
+// ~7ns/op on the TPC/A lookup mix, well over the 5% overhead budget.
 // The per-outcome counts (cache hits, misses, wildcard matches) fall out
 // of the histogram counts for free, and the conditional distributions
 // tell the paper's story directly: misses walk the whole chain, cache
@@ -106,8 +106,8 @@ func (m *DemuxMetrics) Misses() uint64 { return m.miss.Snapshot().Count }
 func (m *DemuxMetrics) WildcardHits() uint64 { return m.wildcard.Snapshot().Count }
 
 // chainIndexer is implemented by chain-hashed demuxers that can name the
-// chain a key maps to (core.SequentHash, rcu.Demuxer); the wrappers use
-// it to fill flight events' Chain field.
+// chain a key maps to (core.SequentHash); the wrapper uses it to fill
+// flight events' Chain field.
 type chainIndexer interface {
 	ChainIndexOf(core.Key) int
 }
@@ -166,38 +166,20 @@ func (d *Demux) Lookup(k core.Key, dir core.Direction) core.Result {
 	return r
 }
 
-// batcher is implemented by single-goroutine demuxers with a native
-// batched lookup path (the flat open-addressing tables); the wrapper
-// delegates to it so instrumentation doesn't cost the batch its
-// prefetch pipeline.
-type batcher interface {
-	LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result
-}
-
 // LookupBatch resolves a train through the inner demuxer's native batch
-// path when it has one (falling back to per-key Lookup delegation
+// path when it has one (core.LookupBatch falls back to per-key Lookup
 // otherwise) and observes every result, so batched and per-packet
 // lookups land in the same metric bundle. out is reused when it has
 // capacity.
 //
 //demux:hotpath
 func (d *Demux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	if b, ok := d.inner.(batcher); ok {
-		out = b.LookupBatch(keys, dir, out)
-		for i := range out {
-			d.m.Observe(out[i])
-			if d.rec != nil {
-				d.recordEvent(keys[i], dir, out[i])
-			}
+	out = core.LookupBatch(d.inner, keys, dir, out)
+	for i := range out {
+		d.m.Observe(out[i])
+		if d.rec != nil {
+			d.recordEvent(keys[i], dir, out[i])
 		}
-		return out
-	}
-	if cap(out) < len(keys) {
-		out = make([]core.Result, len(keys)) //demux:allowalloc amortized: grows the caller-owned result buffer once, then reused across trains
-	}
-	out = out[:len(keys)]
-	for i, k := range keys {
-		out[i] = d.Lookup(k, dir)
 	}
 	return out
 }
@@ -227,114 +209,10 @@ func (d *Demux) recordEvent(k core.Key, dir core.Direction, r core.Result) {
 	})
 }
 
-var _ core.Demuxer = (*Demux)(nil)
-
-// ConcurrentDemuxer mirrors parallel.ConcurrentDemuxer structurally
-// (declared here rather than imported so telemetry stays below parallel
-// in the dependency order; any parallel.ConcurrentDemuxer satisfies it,
-// and Concurrent satisfies parallel's interface in turn).
-type ConcurrentDemuxer interface {
-	Name() string
-	Insert(p *core.PCB) error
-	Remove(k core.Key) bool
-	Lookup(k core.Key, dir core.Direction) core.Result
-	LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result
-	NotifySend(p *core.PCB)
-	Len() int
-	Snapshot() core.Stats
-	Walk(fn func(*core.PCB) bool)
-}
-
-// Concurrent wraps a concurrent demuxer the way Demux wraps a
-// single-goroutine one. Safe for concurrent use when the inner demuxer
-// is: the metric bundle and recorder are striped.
-type Concurrent struct {
-	inner  ConcurrentDemuxer
-	m      *DemuxMetrics
-	rec    *FlightRecorder
-	now    func() float64
-	chains chainIndexer
-}
-
-// InstrumentConcurrent wraps inner; rec and now are optional as in
-// InstrumentDemuxer.
-func InstrumentConcurrent(inner ConcurrentDemuxer, m *DemuxMetrics, rec *FlightRecorder, now func() float64) *Concurrent {
-	ci, _ := inner.(chainIndexer)
-	return &Concurrent{inner: inner, m: m, rec: rec, now: now, chains: ci}
-}
-
-// Name implements ConcurrentDemuxer.
-func (c *Concurrent) Name() string { return c.inner.Name() }
-
-// Insert implements ConcurrentDemuxer.
-func (c *Concurrent) Insert(p *core.PCB) error { return c.inner.Insert(p) }
-
-// Remove implements ConcurrentDemuxer.
-func (c *Concurrent) Remove(k core.Key) bool { return c.inner.Remove(k) }
-
-// NotifySend implements ConcurrentDemuxer.
-func (c *Concurrent) NotifySend(p *core.PCB) { c.inner.NotifySend(p) }
-
-// Len implements ConcurrentDemuxer.
-func (c *Concurrent) Len() int { return c.inner.Len() }
-
-// Snapshot implements ConcurrentDemuxer (the inner demuxer's own
-// statistics).
-func (c *Concurrent) Snapshot() core.Stats { return c.inner.Snapshot() }
-
-// Walk implements ConcurrentDemuxer.
-func (c *Concurrent) Walk(fn func(*core.PCB) bool) { c.inner.Walk(fn) }
-
-// Lookup implements ConcurrentDemuxer, observing the result.
-//
-//demux:hotpath
-func (c *Concurrent) Lookup(k core.Key, dir core.Direction) core.Result {
-	r := c.inner.Lookup(k, dir)
-	c.m.Observe(r)
-	if c.rec != nil {
-		c.recordEvent(k, dir, r)
-	}
-	return r
-}
-
-// LookupBatch implements ConcurrentDemuxer, observing each result.
-//
-//demux:hotpath
-func (c *Concurrent) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = c.inner.LookupBatch(keys, dir, out)
-	for i := range out {
-		c.m.Observe(out[i])
-		if c.rec != nil {
-			c.recordEvent(keys[i], dir, out[i])
-		}
-	}
-	return out
-}
-
-// recordEvent builds and records the flight event for one lookup.
-//
-//demux:hotpath
-func (c *Concurrent) recordEvent(k core.Key, dir core.Direction, r core.Result) {
-	t := 0.0
-	if c.now != nil {
-		t = c.now()
-	}
-	chain := int32(-1)
-	if c.chains != nil {
-		chain = int32(c.chains.ChainIndexOf(k))
-	}
-	c.rec.Record(Event{
-		Time:       t,
-		Tuple:      k.Tuple(),
-		Discipline: c.inner.Name(),
-		Chain:      chain,
-		Examined:   int32(r.Examined),
-		Hit:        r.CacheHit,
-		Wildcard:   r.PCB != nil && r.Wildcard,
-		Miss:       r.PCB == nil,
-		Ack:        dir == core.DirAck,
-	})
-}
+var (
+	_ core.Demuxer = (*Demux)(nil)
+	_ core.Batcher = (*Demux)(nil)
+)
 
 // StackMetrics is the engine.Stack instrument bundle: per-reason drop
 // counters, the SYN-cookie handshake counters, and the lifecycle-timer

@@ -4,8 +4,8 @@ import (
 	"tcpdemux/internal/core"
 )
 
-// Outcome indices into DemuxMetrics' per-outcome histograms, shared by
-// the shared-wrapper and local-observer paths.
+// Outcome indices into DemuxMetrics' per-outcome histograms, as the
+// local observer buffers them.
 const (
 	outcomeHit = iota
 	outcomeFound
@@ -27,14 +27,13 @@ const localCells = 128
 // more than the whole 5% overhead budget for a ~120ns lookup — while a
 // plain add into a private cache line costs under a nanosecond.
 //
-// The contract is exactly single-writer: each LocalDemux belongs to one
-// goroutine, and Flush must be called by that same goroutine (typically
-// deferred at worker exit) before anyone reads the shared histograms.
-// The wrapped inner demuxer may still be shared; only the observation
-// state is private. For cross-goroutine wrappers or flight recording,
-// use InstrumentConcurrent instead.
+// The contract is exactly single-writer: each LocalDemux and the
+// core.Demuxer it wraps belong to one goroutine (one shard worker), and
+// Flush must be called by that same goroutine (typically deferred at
+// worker exit) before anyone reads the shared histograms. For flight
+// recording, use InstrumentDemuxer instead.
 type LocalDemux struct {
-	inner ConcurrentDemuxer
+	inner core.Demuxer
 	m     *DemuxMetrics
 	// The observation buffers belong to the owning goroutine's localtier
 	// role: only observe (the accumulate path) and Flush (the drain path)
@@ -46,7 +45,7 @@ type LocalDemux struct {
 
 // InstrumentLocal wraps inner with a private observation buffer folding
 // into m on Flush.
-func InstrumentLocal(inner ConcurrentDemuxer, m *DemuxMetrics) *LocalDemux {
+func InstrumentLocal(inner core.Demuxer, m *DemuxMetrics) *LocalDemux {
 	return &LocalDemux{inner: inner, m: m}
 }
 
@@ -106,30 +105,28 @@ func (l *LocalDemux) Flush() {
 	}
 }
 
-// Name implements ConcurrentDemuxer.
+// Name implements core.Demuxer.
 func (l *LocalDemux) Name() string { return l.inner.Name() }
 
-// Insert implements ConcurrentDemuxer.
+// Insert implements core.Demuxer.
 func (l *LocalDemux) Insert(p *core.PCB) error { return l.inner.Insert(p) }
 
-// Remove implements ConcurrentDemuxer.
+// Remove implements core.Demuxer.
 func (l *LocalDemux) Remove(k core.Key) bool { return l.inner.Remove(k) }
 
-// NotifySend implements ConcurrentDemuxer.
+// NotifySend implements core.Demuxer.
 func (l *LocalDemux) NotifySend(p *core.PCB) { l.inner.NotifySend(p) }
 
-// Len implements ConcurrentDemuxer.
+// Len implements core.Demuxer.
 func (l *LocalDemux) Len() int { return l.inner.Len() }
 
-// Snapshot implements ConcurrentDemuxer (the inner demuxer's own
-// statistics).
-func (l *LocalDemux) Snapshot() core.Stats { return l.inner.Snapshot() }
+// Stats implements core.Demuxer (the inner demuxer's live counters).
+func (l *LocalDemux) Stats() *core.Stats { return l.inner.Stats() }
 
-// Walk implements ConcurrentDemuxer.
+// Walk implements core.Demuxer.
 func (l *LocalDemux) Walk(fn func(*core.PCB) bool) { l.inner.Walk(fn) }
 
-// Lookup implements ConcurrentDemuxer, observing into the private
-// buffer.
+// Lookup implements core.Demuxer, observing into the private buffer.
 //
 //demux:hotpath
 func (l *LocalDemux) Lookup(k core.Key, dir core.Direction) core.Result {
@@ -138,13 +135,20 @@ func (l *LocalDemux) Lookup(k core.Key, dir core.Direction) core.Result {
 	return r
 }
 
-// LookupBatch implements ConcurrentDemuxer, observing each result.
+// LookupBatch implements core.Batcher: the train resolves through the
+// inner table's native batch path when it has one (core.LookupBatch
+// falls back to per-key Lookup otherwise), and every result is observed.
 //
 //demux:hotpath
 func (l *LocalDemux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = l.inner.LookupBatch(keys, dir, out)
+	out = core.LookupBatch(l.inner, keys, dir, out)
 	for i := range out {
 		l.observe(out[i])
 	}
 	return out
 }
+
+var (
+	_ core.Demuxer = (*LocalDemux)(nil)
+	_ core.Batcher = (*LocalDemux)(nil)
+)

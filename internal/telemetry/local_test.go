@@ -5,20 +5,16 @@ import (
 	"testing"
 
 	"tcpdemux/internal/core"
+	"tcpdemux/internal/flat"
 	"tcpdemux/internal/hashfn"
 )
 
 // TestLocalDemuxMatchesShared drives the same lookups through the
-// single-writer local tier and the shared wrapper, and checks the
+// single-writer local tier and the shared Demux wrapper, and checks the
 // flushed metrics agree exactly — the two instrumentation paths must be
 // observationally equivalent.
 func TestLocalDemuxMatchesShared(t *testing.T) {
-	build := func() (ConcurrentDemuxer, error) {
-		inner := core.NewSequentHash(19, hashfn.Multiplicative{})
-		return lockedDemux{inner: inner, mu: &sync.Mutex{}}, nil
-	}
-
-	drive := func(d ConcurrentDemuxer) {
+	drive := func(d core.Demuxer) {
 		for i := uint32(0); i < 50; i++ {
 			_ = d.Insert(core.NewPCB(testKey(i)))
 		}
@@ -27,21 +23,13 @@ func TestLocalDemuxMatchesShared(t *testing.T) {
 		}
 	}
 
-	sharedInner, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rs := NewRegistry()
 	ms := NewDemuxMetrics(rs, "x")
-	drive(InstrumentConcurrent(sharedInner, ms, nil, nil))
+	drive(InstrumentDemuxer(core.NewSequentHash(19, hashfn.Multiplicative{}), ms, nil, nil))
 
-	localInner, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	rl := NewRegistry()
 	ml := NewDemuxMetrics(rl, "x")
-	ld := InstrumentLocal(localInner, ml)
+	ld := InstrumentLocal(core.NewSequentHash(19, hashfn.Multiplicative{}), ml)
 	drive(ld)
 	ld.Flush()
 
@@ -66,10 +54,9 @@ func TestLocalDemuxMatchesShared(t *testing.T) {
 // TestLocalDemuxFlushClears checks Flush both publishes and resets the
 // private buffer, so double-flushing never double-counts.
 func TestLocalDemuxFlushClears(t *testing.T) {
-	inner := core.NewSequentHash(7, nil)
 	r := NewRegistry()
 	m := NewDemuxMetrics(r, "x")
-	ld := InstrumentLocal(lockedDemux{inner: inner, mu: &sync.Mutex{}}, m)
+	ld := InstrumentLocal(core.NewSequentHash(7, nil), m)
 	_ = ld.Insert(core.NewPCB(testKey(1)))
 	ld.Lookup(testKey(1), core.DirData)
 	ld.Flush()
@@ -84,16 +71,12 @@ func TestLocalDemuxFlushClears(t *testing.T) {
 	}
 }
 
-// TestLocalDemuxConcurrentFlush runs one LocalDemux per goroutine over a
-// shared inner demuxer (the intended deployment) under the race
-// detector, and checks the flushed totals are exact.
+// TestLocalDemuxConcurrentFlush runs one LocalDemux per goroutine, each
+// over its own private table (the sharded deployment: one worker owns
+// one table and one observer), all flushing into one shared metric
+// bundle under the race detector, and checks the flushed totals are
+// exact.
 func TestLocalDemuxConcurrentFlush(t *testing.T) {
-	inner := lockedDemux{inner: core.NewSequentHash(19, hashfn.Multiplicative{}), mu: &sync.Mutex{}}
-	for i := uint32(0); i < 20; i++ {
-		if err := inner.Insert(core.NewPCB(testKey(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
 	r := NewRegistry()
 	m := NewDemuxMetrics(r, "x")
 
@@ -104,8 +87,14 @@ func TestLocalDemuxConcurrentFlush(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ld := InstrumentLocal(inner, m)
+			ld := InstrumentLocal(core.NewSequentHash(19, hashfn.Multiplicative{}), m)
 			defer ld.Flush()
+			for i := uint32(0); i < 20; i++ {
+				if err := ld.Insert(core.NewPCB(testKey(i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
 			for i := 0; i < each; i++ {
 				ld.Lookup(testKey(uint32((w+i)%25)), core.DirData)
 			}
@@ -117,53 +106,62 @@ func TestLocalDemuxConcurrentFlush(t *testing.T) {
 	}
 }
 
-// lockedDemux adapts a plain core.Demuxer into a ConcurrentDemuxer for
-// the tests above (coarse lock; correctness only).
-type lockedDemux struct {
-	inner *core.SequentHash
-	mu    *sync.Mutex
-}
-
-func (d lockedDemux) Name() string { return d.inner.Name() }
-func (d lockedDemux) Insert(p *core.PCB) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inner.Insert(p)
-}
-func (d lockedDemux) Remove(k core.Key) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inner.Remove(k)
-}
-func (d lockedDemux) Lookup(k core.Key, dir core.Direction) core.Result {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inner.Lookup(k, dir)
-}
-func (d lockedDemux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = out[:0]
-	for _, k := range keys {
-		out = append(out, d.Lookup(k, dir))
+// TestLocalDemuxFlatBatchMatchesPerPacket runs one lookup stream through
+// two LocalDemux observers over flat-hopscotch tables, one per packet
+// and one in trains through the table's native pipelined batch path.
+// Results, table statistics, and flushed observations must be identical.
+func TestLocalDemuxFlatBatchMatchesPerPacket(t *testing.T) {
+	const conns = 300
+	// The same PCB objects go into both tables so Results compare
+	// pointer-for-pointer.
+	pcbs := make([]*core.PCB, conns)
+	for i := range pcbs {
+		pcbs[i] = core.NewPCB(testKey(uint32(i)))
 	}
-	return out
-}
-func (d lockedDemux) NotifySend(p *core.PCB) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.inner.NotifySend(p)
-}
-func (d lockedDemux) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.inner.Len()
-}
-func (d lockedDemux) Snapshot() core.Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return *d.inner.Stats()
-}
-func (d lockedDemux) Walk(fn func(*core.PCB) bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.inner.Walk(fn)
+	build := func() (*LocalDemux, *DemuxMetrics) {
+		m := NewDemuxMetrics(NewRegistry(), "flat-hopscotch")
+		ld := InstrumentLocal(flat.NewHopscotch(0, nil), m)
+		for _, p := range pcbs {
+			if err := ld.Insert(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ld, m
+	}
+	per, mp := build()
+	bat, mb := build()
+
+	var stream []core.Key
+	for i := uint32(0); i < 2000; i++ {
+		stream = append(stream, testKey((i*7919)%(conns+40))) // ~12% misses
+	}
+	var out []core.Result
+	for lo := 0; lo < len(stream); lo += 32 {
+		hi := min(lo+32, len(stream))
+		out = bat.LookupBatch(stream[lo:hi], core.DirData, out)
+		for i, k := range stream[lo:hi] {
+			want := per.Lookup(k, core.DirData)
+			if out[i] != want {
+				t.Fatalf("key %d: batch %+v, per-packet %+v", lo+i, out[i], want)
+			}
+		}
+	}
+	per.Flush()
+	bat.Flush()
+
+	if ps, bs := *per.Stats(), *bat.Stats(); ps != bs || ps.Lookups != uint64(len(stream)) {
+		t.Fatalf("table stats diverge: per-packet %+v, batch %+v", ps, bs)
+	}
+	hp, hb := mp.ExaminedSnapshot(), mb.ExaminedSnapshot()
+	if hp.Count != uint64(len(stream)) || hp.Count != hb.Count || hp.Sum != hb.Sum || hp.Max != hb.Max {
+		t.Fatalf("observations diverge: per-packet %+v, batch %+v", hp, hb)
+	}
+	for i := range hp.Bucket {
+		if hp.Bucket[i] != hb.Bucket[i] {
+			t.Fatalf("bucket %d: per-packet %d, batch %d", i, hp.Bucket[i], hb.Bucket[i])
+		}
+	}
+	if mp.Misses() == 0 || mp.Misses() != mb.Misses() {
+		t.Fatalf("miss counts: per-packet %d, batch %d (want equal and nonzero)", mp.Misses(), mb.Misses())
+	}
 }

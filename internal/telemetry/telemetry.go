@@ -6,19 +6,18 @@
 //
 // The paper's entire argument rests on one observable — PCBs examined
 // per inbound packet — and the packages under internal/ each kept their
-// own ad-hoc counters for it (core.Stats, the RCU stripe bundle, the
-// engine's drop counters). This package gives those counters one home so
-// a single registry snapshot correlates them: examined-per-packet
-// histograms per discipline next to chain-skew gauges, rekey counts,
-// SYN-cookie issuance, and per-reason drops.
+// own ad-hoc counters for it (core.Stats, the engine's drop counters).
+// This package gives those counters one home so a single registry
+// snapshot correlates them: examined-per-packet histograms per
+// discipline next to chain-skew gauges, rekey counts, SYN-cookie
+// issuance, and per-reason drops.
 //
 // # Hot-path contract
 //
 // Counter.Inc/Add and Histogram.Observe are zero-alloc and effectively
 // contention-free: every metric is striped across a power-of-two array
 // of cache-line-padded slots, and the calling goroutine picks a slot by
-// hashing a stack-local address (the idiom internal/rcu's statistics
-// stripes established). A hot-path update is one or two uncontended
+// hashing a stack-local address. A hot-path update is one or two uncontended
 // atomic adds; folding the stripes into a total happens only at snapshot
 // time. The demuxvet hotalloc analyzer enforces the no-allocation claim
 // on every function marked //demux:hotpath, and atomicpub guards the
@@ -104,8 +103,8 @@ type Registry struct {
 const maxStripes = 32
 
 // NewRegistry returns an empty registry. Stripe counts are sized to the
-// next power of two covering 4×GOMAXPROCS (capped at maxStripes), the
-// same operating point as the RCU statistics stripes.
+// next power of two covering 4×GOMAXPROCS (capped at maxStripes), so
+// concurrent writers rarely share a stripe.
 func NewRegistry() *Registry {
 	n := 1
 	for n < 4*runtime.GOMAXPROCS(0) && n < maxStripes {
@@ -194,10 +193,9 @@ type GaugeSnapshot struct {
 }
 
 // Snapshot is a consistent-per-metric capture of every registered
-// metric, sorted by canonical metric identity. Like the parallel
-// package's statistics snapshots, each metric's total counts every
-// completed update exactly once, but a snapshot taken during concurrent
-// traffic may straddle updates across metrics.
+// metric, sorted by canonical metric identity. Each metric's total
+// counts every completed update exactly once, but a snapshot taken
+// during concurrent traffic may straddle updates across metrics.
 type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters"`
 	Gauges     []GaugeSnapshot     `json:"gauges"`
