@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures test race chaos shard failover live demuxd demuxload bench bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
+.PHONY: all build vet lint lint-fixtures test race chaos shard failover live perfbench-test demuxd demuxload bench bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
 
 all: build vet lint test
 
@@ -81,6 +81,13 @@ failover:
 # the live metrics endpoint.
 live:
 	$(GO) test -race -count=1 -run 'TestLive' ./internal/server ./cmd/demuxd
+
+# perfbench-test is the repository benchmark's self-test (perfbench/ is
+# its own module): every workload end to end at tiny sizes, traced and
+# not, with every metric present and a flipped oracle byte or an
+# unbalanced ledger failing the run.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # demuxd / demuxload build the server and load-generator binaries.
 demuxd:

@@ -54,6 +54,13 @@ func main() {
 // caller-provided stop channel, which the smoke test uses) triggers the
 // graceful drain.
 func run(addr, disc, hash string, chains, shards int, seed uint64, metricsAddr string, drainTimeout time.Duration, stop <-chan struct{}) error {
+	// Catch termination signals before anything is printed: a supervisor
+	// that signals as soon as it sees the listen line must get a drain,
+	// not the default kill. A signal that arrives during start-up waits
+	// in sigC and drains the server as soon as it is up.
+	sigC := make(chan os.Signal, 1)
+	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(sigC)
 	sel, err := discipline.Select(disc, hash, chains)
 	if err != nil {
 		return err
@@ -81,9 +88,6 @@ func run(addr, disc, hash string, chains, shards int, seed uint64, metricsAddr s
 		fmt.Printf("demuxd: metrics on http://%s/metrics\n", ms.Addr())
 	}
 
-	sigC := make(chan os.Signal, 1)
-	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigC)
 	select {
 	case sig := <-sigC:
 		fmt.Printf("demuxd: %v, draining\n", sig)

@@ -161,80 +161,3 @@ func (s *Stats) String() string {
 	return fmt.Sprintf("lookups=%d hits=%d (%.2f%%) misses=%d mean-examined=%.2f max=%d",
 		s.Lookups, s.Hits, s.HitRate()*100, s.Misses, s.MeanExamined(), s.MaxExamined)
 }
-
-// node is the singly linked list cell shared by the list-based demuxers.
-// Head insertion preserves the BSD property that young connections sit
-// near the front.
-type node struct {
-	pcb  *PCB
-	next *node
-}
-
-// list is a singly linked PCB list with the scan helpers the list-based
-// algorithms share. The zero value is an empty list.
-type list struct {
-	head *node
-	n    int
-}
-
-// pushFront inserts a PCB at the head.
-func (l *list) pushFront(p *PCB) {
-	l.head = &node{pcb: p, next: l.head}
-	l.n++
-}
-
-// remove unlinks the node holding the PCB with exactly key k.
-func (l *list) remove(k Key) *PCB {
-	for cur, prev := l.head, (*node)(nil); cur != nil; prev, cur = cur, cur.next {
-		if cur.pcb.Key == k {
-			if prev == nil {
-				l.head = cur.next
-			} else {
-				prev.next = cur.next
-			}
-			l.n--
-			return cur.pcb
-		}
-	}
-	return nil
-}
-
-// scan walks the list looking for the best match for packet key k. It
-// stops at the first exact match; wildcard candidates force a full walk,
-// exactly like the historic in_pcblookup. It returns the best PCB (nil if
-// none), the number of nodes examined, and whether the match was exact.
-func (l *list) scan(k Key) (best *PCB, examined int, exact bool) {
-	bestScore := -1
-	for cur := l.head; cur != nil; cur = cur.next {
-		examined++
-		score := Match(cur.pcb.Key, k)
-		if score == exactScore {
-			return cur.pcb, examined, true
-		}
-		if score > bestScore {
-			bestScore = score
-			best = cur.pcb
-		}
-	}
-	return best, examined, false
-}
-
-// containsExact reports whether a PCB with exactly key k is present.
-func (l *list) containsExact(k Key) bool {
-	for cur := l.head; cur != nil; cur = cur.next {
-		if cur.pcb.Key == k {
-			return true
-		}
-	}
-	return false
-}
-
-// walkList is the shared Walk helper for the list-based structures.
-func (l *list) walk(fn func(*PCB) bool) bool {
-	for cur := l.head; cur != nil; cur = cur.next {
-		if !fn(cur.pcb) {
-			return false
-		}
-	}
-	return true
-}

@@ -33,7 +33,9 @@ type SequentHash struct {
 	mtf   bool // move-to-front within chains (MTFHash variant)
 }
 
-// chain is one hash bucket: a linear PCB list plus its one-entry cache.
+// chain is one hash bucket: a PCB list plus its one-entry cache. Chains
+// hold only exact-keyed PCBs, so key equality is the whole of Match on
+// them.
 type chain struct {
 	pcbs  list
 	cache *PCB
@@ -122,33 +124,25 @@ func (d *SequentHash) Lookup(k Key, _ Direction) Result {
 	c := &d.chains[d.chainFor(k)]
 	if !d.mtf && c.cache != nil {
 		r.Examined++
-		if Match(c.cache.Key, k) == exactScore {
+		if c.cache.Key == k {
 			r.PCB = c.cache
 			r.CacheHit = true
 			d.stats.record(r)
 			return r
 		}
 	}
-	if d.mtf {
-		if p, examined := c.scanMTF(k); p != nil {
-			r.Examined += examined
-			r.PCB = p
-			d.stats.record(r)
-			return r
+	// A chain miss falls through to the listeners.
+	i, examined := c.pcbs.find(k)
+	r.Examined += examined
+	if i >= 0 {
+		r.PCB = c.pcbs.e[i].pcb
+		if d.mtf {
+			c.pcbs.moveToFront(i)
 		} else {
-			r.Examined += examined
+			c.cache = r.PCB
 		}
-	} else {
-		best, examined, exact := c.pcbs.scan(k)
-		r.Examined += examined
-		if exact {
-			c.cache = best
-			r.PCB = best
-			d.stats.record(r)
-			return r
-		}
-		// Chains hold only exact-keyed PCBs, so a non-exact result here is
-		// always nil; fall through to the listeners.
+		d.stats.record(r)
+		return r
 	}
 	best, examined, _ := d.listen.scan(k)
 	r.Examined += examined
@@ -158,32 +152,15 @@ func (d *SequentHash) Lookup(k Key, _ Direction) Result {
 	return r
 }
 
-// scanMTF finds an exact match in the chain and splices it to the front.
-func (c *chain) scanMTF(k Key) (*PCB, int) {
-	examined := 0
-	for cur, prev := c.pcbs.head, (*node)(nil); cur != nil; prev, cur = cur, cur.next {
-		examined++
-		if cur.pcb.Key == k {
-			if prev != nil {
-				prev.next = cur.next
-				cur.next = c.pcbs.head
-				c.pcbs.head = cur
-			}
-			return cur.pcb, examined
-		}
-	}
-	return nil, examined
-}
-
 // NotifySend implements Demuxer; the Sequent algorithm ignores
 // transmissions.
 func (d *SequentHash) NotifySend(*PCB) {}
 
 // Len implements Demuxer.
 func (d *SequentHash) Len() int {
-	n := d.listen.n
+	n := d.listen.len()
 	for i := range d.chains {
-		n += d.chains[i].pcbs.n
+		n += d.chains[i].pcbs.len()
 	}
 	return n
 }
@@ -196,7 +173,7 @@ func (d *SequentHash) Stats() *Stats { return d.stats }
 func (d *SequentHash) ChainLengths() []int64 {
 	out := make([]int64, len(d.chains))
 	for i := range d.chains {
-		out[i] = int64(d.chains[i].pcbs.n)
+		out[i] = int64(d.chains[i].pcbs.len())
 	}
 	return out
 }

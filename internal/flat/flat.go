@@ -3,14 +3,15 @@
 // memory hierarchy rather than around the paper's list structures.
 //
 // The paper's disciplines (§3.1–3.4) and their descendants under
-// internal/core all resolve a lookup by walking a chain — and every chain
-// hop lands on a different cache line, so a lookup that examines E PCBs
-// costs ~E cache lines of memory traffic. At the paper's operating point
-// that memory behaviour is the dominant cost (BENCH_cache.json measures
-// the Sequent baseline at ~160 mean examined PCBs per lookup at 6,000
-// users over 19 chains). This package removes the pointer chase
-// entirely, following the cache-aware forwarding-table layout of Yegorov
-// and the pipelined lookup architecture of Jiang et al. (PAPERS.md):
+// internal/core all resolve a lookup by walking a chain, so a lookup that
+// examines E PCBs pays for E examinations. internal/core keeps each key
+// inline in a contiguous slot array, which makes an examination a
+// sequential key compare rather than a cache miss, but E itself stays at
+// the paper's figure (BENCH_cache.json measures the Sequent baseline at
+// ~160 mean examined PCBs per lookup at 6,000 users over 19 chains).
+// This package bounds E instead, following the cache-aware
+// forwarding-table layout of Yegorov and the pipelined lookup
+// architecture of Jiang et al. (PAPERS.md):
 //
 //   - Entries are 24-byte fixed-size cells — the 12-byte connection key,
 //     its full 32-bit hash as a scan fingerprint, and a generation-checked
