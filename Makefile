@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: all build vet lint lint-fixtures test race chaos shard failover live perfbench-test demuxd demuxload bench bench-json-adversarial bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
+.PHONY: all build vet lint lint-fixtures test race chaos shard failover live perfbench-test demuxd demuxload bench bench-json-cache bench-json-shard bench-json-failover bench-gate fuzz figures clean
 
 all: build vet lint test
 
@@ -42,7 +42,8 @@ test: vet lint race
 	$(GO) test -run 'TestMetricsEndpoint|TestAdversarialSnapshotUnified' -count=1 ./cmd/demuxsim
 
 # race runs the race detector over the flat tables, the timer-driven
-# engine, the timer wheel, and the telemetry stripes.
+# engine, the timer wheel, and telemetry's concurrent flush and scrape
+# paths.
 race:
 	$(GO) test -race ./internal/flat ./internal/engine ./internal/timer ./internal/telemetry
 
@@ -99,12 +100,6 @@ demuxload:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json-adversarial measures the collision-attack / rekey / SYN-cookie
-# story (demuxsim -workload adversarial, but machine-readable) and embeds
-# the full telemetry registry snapshot in the document.
-bench-json-adversarial:
-	$(GO) run ./cmd/benchjson -workload adversarial -ops 200000 -out BENCH_adversarial.json
-
 # bench-json-cache measures the cache-conscious flat tables (hopscotch,
 # bucketized cuckoo) against the chained Sequent table, single-writer on
 # one shard, per-packet and in prefetch-pipelined batches across depths
@@ -135,8 +130,9 @@ bench-json-failover:
 # shard, and failover workloads at the committed artifacts' operating
 # points (same -n, -ops, and seed; only -rounds is lower) and fails if
 # any shared configuration's best nsPerOp regressed beyond the tolerance,
-# if its best-round meanExamined changed at all (every table is
-# single-writer, so the examined mean is deterministic), or if a
+# if its best-round meanExamined, cacheHitRate, or examined quantiles
+# changed at all (every table is single-writer, so those are
+# deterministic), or if a
 # configuration the committed artifact measured is missing from the
 # remeasurement (a renamed discipline must not empty the gate). The
 # default nsPerOp tolerance is deliberately generous because CI hosts

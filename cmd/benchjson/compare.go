@@ -17,31 +17,45 @@ const defaultTolerance = 0.15
 
 // gateReport is the minimal shape the gate needs from any benchjson
 // report — cache, shard and failover all carry per-configuration best
-// rounds. The adversarial report has no nsPerOp and is not comparable.
+// rounds.
 type gateReport struct {
 	Benchmark string   `json:"benchmark"`
 	Results   []result `json:"results"`
 }
 
+// exactFields are the best-round fields that are deterministic for a
+// given -n/-ops/-seed: every table is single-writer and replays a
+// recorded stream, so the table statistics and the examined histogram
+// (whose log2-bucket quantile estimates are pure functions of its
+// counts) repeat exactly, and any difference at all is an algorithmic
+// change, not noise.
+var exactFields = []struct {
+	name string
+	get  func(round) float64
+}{
+	{"meanExamined", func(r round) float64 { return r.MeanExamined }},
+	{"cacheHitRate", func(r round) float64 { return r.CacheHitRate }},
+	{"examinedP50", func(r round) float64 { return r.ExaminedP50 }},
+	{"examinedP90", func(r round) float64 { return r.ExaminedP90 }},
+	{"examinedP99", func(r round) float64 { return r.ExaminedP99 }},
+}
+
 // delta is one configuration's old-vs-new comparison on the best round.
 // Change is the fractional nsPerOp change — positive means the new run
-// is slower. meanExamined is deterministic for a given -n/-ops/-seed
-// (every table is single-writer and replays a recorded stream), so any
-// difference at all is an algorithmic change, not noise.
+// is slower. Drifted names each exactFields entry that differs, as
+// "field old -> new".
 type delta struct {
-	Config          string
-	OldNs           float64
-	NewNs           float64
-	Change          float64
-	Regressed       bool
-	OldExamined     float64
-	NewExamined     float64
-	ExaminedChanged bool
+	Config    string
+	OldNs     float64
+	NewNs     float64
+	Change    float64
+	Regressed bool
+	Drifted   []string
 }
 
 // compareReports pairs configurations present in both reports by
 // discipline/mode and flags any whose best nsPerOp grew beyond tol or
-// whose best meanExamined differs.
+// whose deterministic best-round fields differ.
 // Configurations only the new report measures are skipped — a new run
 // is free to add modes — but every configuration the old report
 // measured must reappear in the new one, and the missing ones are
@@ -61,10 +75,11 @@ func compareReports(oldRep, newRep *gateReport, tol float64) ([]delta, []string,
 			continue
 		}
 		matched[key] = true
-		d := delta{
-			Config: key, OldNs: old.NsPerOp, NewNs: r.Best.NsPerOp,
-			OldExamined: old.MeanExamined, NewExamined: r.Best.MeanExamined,
-			ExaminedChanged: old.MeanExamined != r.Best.MeanExamined,
+		d := delta{Config: key, OldNs: old.NsPerOp, NewNs: r.Best.NsPerOp}
+		for _, f := range exactFields {
+			if o, n := f.get(old), f.get(r.Best); o != n {
+				d.Drifted = append(d.Drifted, fmt.Sprintf("%s %v -> %v", f.name, o, n))
+			}
 		}
 		if old.NsPerOp > 0 && r.Best.NsPerOp > 0 {
 			d.Change = (r.Best.NsPerOp - old.NsPerOp) / old.NsPerOp
@@ -162,10 +177,11 @@ func runCompare(args []string, tol float64, w io.Writer) int {
 		}
 		fmt.Fprintf(w, "%s %-36s %10.1f -> %10.1f ns/op (%+.1f%%)\n",
 			mark, d.Config, d.OldNs, d.NewNs, 100*d.Change)
-		if d.ExaminedChanged {
+		if len(d.Drifted) > 0 {
 			drifted++
-			fmt.Fprintf(w, "FAIL %-36s meanExamined %v -> %v (deterministic: must match exactly)\n",
-				d.Config, d.OldExamined, d.NewExamined)
+		}
+		for _, change := range d.Drifted {
+			fmt.Fprintf(w, "FAIL %-36s %s (deterministic: must match exactly)\n", d.Config, change)
 		}
 	}
 	for _, key := range missing {
@@ -177,11 +193,11 @@ func runCompare(args []string, tol float64, w io.Writer) int {
 		return 1
 	}
 	if regressed > 0 || drifted > 0 {
-		fmt.Fprintf(w, "benchjson: %d configuration(s) regressed beyond the %.0f%% nsPerOp tolerance, %d changed meanExamined\n",
+		fmt.Fprintf(w, "benchjson: %d configuration(s) regressed beyond the %.0f%% nsPerOp tolerance, %d changed a deterministic field\n",
 			regressed, tol*100, drifted)
 		return 1
 	}
-	fmt.Fprintf(w, "benchjson: %d configuration(s) within the %.0f%% nsPerOp tolerance, meanExamined identical\n",
+	fmt.Fprintf(w, "benchjson: %d configuration(s) within the %.0f%% nsPerOp tolerance, examined and hit-rate fields identical\n",
 		len(deltas), tol*100)
 	return 0
 }

@@ -155,14 +155,15 @@ func TestRunCompareGate(t *testing.T) {
 	}
 }
 
-// TestRunCompareGatesExaminedExactly: meanExamined is deterministic, so
-// the gate fails on any change of a shared configuration's best-round
-// examined mean — even one far inside the nsPerOp tolerance, and even
-// when the run got faster.
+// TestRunCompareGatesExaminedExactly: meanExamined, cacheHitRate and
+// the examined quantiles are deterministic, so the gate fails on any
+// change of a shared configuration's best-round value — even one far
+// inside the nsPerOp tolerance, and even when the run got faster.
 func TestRunCompareGatesExaminedExactly(t *testing.T) {
 	rep := func(examined float64) gateReport {
 		return gateReport{Benchmark: "test", Results: []result{
-			{Discipline: "sequent", Mode: "perpacket", Best: round{NsPerOp: 1000, MeanExamined: 160.095235}},
+			{Discipline: "sequent", Mode: "perpacket", Best: round{NsPerOp: 1000, MeanExamined: 160.095235,
+				CacheHitRate: 0.000895, ExaminedP50: 160.3500269978402, ExaminedP90: 381.12656293768623, ExaminedP99: 498.0126562937686}},
 			{Discipline: "flat-hopscotch", Mode: "batch64-k4", Best: round{NsPerOp: 50, MeanExamined: examined}},
 		}}
 	}
@@ -182,5 +183,26 @@ func TestRunCompareGatesExaminedExactly(t *testing.T) {
 	}
 	if strings.Contains(out.String(), "FAIL sequent/perpacket") {
 		t.Fatalf("unchanged configuration flagged:\n%s", out.String())
+	}
+
+	// The hit rate and each examined quantile are gated the same way.
+	for _, tc := range []struct {
+		field string
+		bump  func(*round)
+	}{
+		{"cacheHitRate", func(r *round) { r.CacheHitRate += 1e-6 }},
+		{"examinedP50", func(r *round) { r.ExaminedP50 += 1e-9 }},
+		{"examinedP90", func(r *round) { r.ExaminedP90 *= 1.5 }},
+		{"examinedP99", func(r *round) { r.ExaminedP99 = 0 }},
+	} {
+		drift := rep(1.289755)
+		tc.bump(&drift.Results[0].Best)
+		out.Reset()
+		if code := runCompare([]string{old, writeGateReport(t, tc.field+".json", drift)}, defaultTolerance, &out); code != 1 {
+			t.Fatalf("changed %s exited %d, want 1: %s", tc.field, code, out.String())
+		}
+		if !strings.Contains(out.String(), "FAIL sequent/perpacket") || !strings.Contains(out.String(), tc.field+" ") {
+			t.Fatalf("%s change not named:\n%s", tc.field, out.String())
+		}
 	}
 }

@@ -1,15 +1,13 @@
 // Command benchjson measures the demultiplexing disciplines on the
 // read-heavy TPC/A mix and writes the results as JSON. Every lookup
 // table is measured the way the sharded engine runs it — single-writer,
-// through shard.MeasureSharded — and four workloads share the harness:
+// through shard.MeasureSharded — and three workloads share the harness:
 //
 //   - cache (BENCH_cache.json): the chained Sequent baseline against the
 //     cache-conscious open-addressing tables (flat-hopscotch,
 //     flat-cuckoo) on one shard, per packet and batched, sweeping the
 //     batch path's prefetch pipeline depth k, with internal/cachesim
 //     stall estimates embedded beside the measured numbers.
-//   - adversarial (BENCH_adversarial.json): the collision attack and
-//     SYN flood against the defended tables.
 //   - shard (BENCH_shard.json): the multi-queue engine — the same
 //     TPC/A population RSS-steered across N private tables, sweeping
 //     the shard count (1, 2, 4, max). With the chain count held fixed,
@@ -30,15 +28,15 @@
 //
 // Usage:
 //
-//	benchjson [-workload cache|adversarial|shard|failover] [-out FILE]
+//	benchjson [-workload cache|shard|failover] [-out FILE]
 //	          [-rounds 5] [-gomaxprocs 4] [-ops 200000] [-n 1000]
 //	          [-batch 64] [-chains 19] [-seed 7]
 //
 // benchjson is also its own regression gate: -compare old.json new.json
 // [-tolerance 0.15] reads two reports of the same workload and exits
 // nonzero if any configuration's best nsPerOp regressed beyond the
-// tolerance or its deterministic meanExamined changed at all (see
-// compare.go).
+// tolerance or any of its deterministic fields (meanExamined,
+// cacheHitRate, the examined quantiles) changed at all (see compare.go).
 package main
 
 import (
@@ -46,18 +44,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
-	"tcpdemux/internal/chaos"
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/engine"
 	"tcpdemux/internal/hashfn"
-	"tcpdemux/internal/overload"
 	"tcpdemux/internal/rng"
 	"tcpdemux/internal/shard"
 	"tcpdemux/internal/telemetry"
 	"tcpdemux/internal/tpca"
-	"tcpdemux/internal/wire"
 )
 
 // options collects the run parameters; a struct (rather than bare flag
@@ -115,13 +108,13 @@ func main() {
 	flag.StringVar(&opt.Out, "out", opt.Out, "output JSON path (- for stdout, default per workload)")
 	flag.IntVar(&opt.Rounds, "rounds", opt.Rounds, "interleaved measurement rounds per configuration")
 	flag.IntVar(&opt.GoMaxProcs, "gomaxprocs", opt.GoMaxProcs, "GOMAXPROCS for the shard sweep (its largest shard count is max(8, gomaxprocs))")
-	flag.IntVar(&opt.Ops, "ops", opt.Ops, "lookups per configuration per round (adversarial: attack size x 50)")
+	flag.IntVar(&opt.Ops, "ops", opt.Ops, "lookups per configuration per round")
 	flag.IntVar(&opt.Users, "n", opt.Users, "TPC/A users (connection population)")
 	flag.IntVar(&opt.Batch, "batch", opt.Batch, "train length for the batched mode")
 	flag.IntVar(&opt.Chains, "chains", opt.Chains, "hash chains")
 	flag.Uint64Var(&opt.Seed, "seed", opt.Seed, "workload seed")
-	flag.StringVar(&opt.Workload, "workload", opt.Workload, "benchmark workload: cache, adversarial, shard, or failover")
-	compareMode := flag.Bool("compare", false, "compare two report files (old new) and gate on nsPerOp regressions and meanExamined changes")
+	flag.StringVar(&opt.Workload, "workload", opt.Workload, "benchmark workload: cache, shard, or failover")
+	compareMode := flag.Bool("compare", false, "compare two report files (old new) and gate on nsPerOp regressions and examined/hit-rate changes")
 	tolerance := flag.Float64("tolerance", defaultTolerance, "allowed fractional nsPerOp regression in -compare mode")
 	flag.Parse()
 
@@ -164,13 +157,6 @@ func run(opt options) (any, string, error) {
 		}
 		return cr, fmt.Sprintf("flat batch %.2fx over sequent per-packet (ns/op)",
 			cr.Summary.FlatBatchOverSequentPerPacket), nil
-	case "adversarial":
-		ar, err := runAdversarial(opt)
-		if err != nil {
-			return nil, "", err
-		}
-		return ar, fmt.Sprintf("undefended %.1f -> guarded %.1f PCBs/pkt under attack",
-			ar.Tables[0].AttackedMean, ar.Tables[1].AttackedMean), nil
 	case "shard":
 		sr, err := runShard(opt)
 		if err != nil {
@@ -191,7 +177,7 @@ func run(opt options) (any, string, error) {
 		}
 		return fr, note, nil
 	}
-	return nil, "", fmt.Errorf("unknown workload %q (have cache, adversarial, shard, failover)", opt.Workload)
+	return nil, "", fmt.Errorf("unknown workload %q (have cache, shard, failover)", opt.Workload)
 }
 
 // hostInfo captures the host facts at measurement time — inside the
@@ -259,204 +245,4 @@ func histDiff(after, before telemetry.HistogramSnapshot) telemetry.HistogramSnap
 		d.Bucket[i] = after.Bucket[i] - before.Bucket[i]
 	}
 	return d
-}
-
-// advTableResult is one table's measured attack response.
-type advTableResult struct {
-	Table        string  `json:"table"`
-	BenignMean   float64 `json:"benignMean"`
-	AttackedMean float64 `json:"attackedMean"`
-	WorstLookup  int     `json:"worstLookup"`
-	Rekeys       int     `json:"rekeys"`
-	ExaminedP50  float64 `json:"examinedP50"`
-	ExaminedP90  float64 `json:"examinedP90"`
-	ExaminedP99  float64 `json:"examinedP99"`
-}
-
-// advReport is the adversarial-workload JSON document
-// (BENCH_adversarial.json).
-type advReport struct {
-	Benchmark  string             `json:"benchmark"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	NumCPU     int                `json:"numCPU"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Config     map[string]any     `json:"config"`
-	Tables     []advTableResult   `json:"tables"`
-	Flood      advFloodResult     `json:"flood"`
-	Telemetry  telemetry.Snapshot `json:"telemetry"`
-}
-
-// advFloodResult summarizes the SYN-flood half of the run.
-type advFloodResult struct {
-	ClientEstablished  bool   `json:"clientEstablished"`
-	CookiesSent        uint64 `json:"cookiesSent"`
-	CookiesAccepted    uint64 `json:"cookiesAccepted"`
-	SynDrops           uint64 `json:"synDrops"`
-	DroppedBadCookie   uint64 `json:"droppedBadCookie"`
-	DroppedBacklogFull uint64 `json:"droppedBacklogFull"`
-}
-
-// advDemux is the slice of behaviour the attack measurement needs; the
-// undefended table gets no-op migration methods.
-type advDemux interface {
-	Insert(*core.PCB) error
-	Lookup(core.Key, core.Direction) core.Result
-	Migrating() bool
-	Advance(int)
-}
-
-type plainSequent struct{ *core.SequentHash }
-
-func (plainSequent) Migrating() bool { return false }
-func (plainSequent) Advance(int)     {}
-
-// runAdversarial measures the collision attack and SYN flood the
-// demuxsim adversarial workload runs, emitting machine-readable JSON:
-// per-table examined means and percentiles under attack, rekey counts,
-// flood counters, and the full telemetry snapshot.
-func runAdversarial(opt options) (*advReport, error) {
-	victim, err := hashfn.ByName("multiplicative")
-	if err != nil {
-		return nil, err
-	}
-	reg := telemetry.NewRegistry()
-	const benignN = 400
-	attackN := opt.Ops / 50
-	if attackN < 400 {
-		attackN = 400
-	}
-	floodN := attackN / 2
-	benign := hashfn.RandomClients(benignN, opt.Seed^0xbe9)
-	popN := attackN
-	if floodN > popN {
-		popN = floodN
-	}
-	population, err := hashfn.AttackPopulation(victim, opt.Chains, int(opt.Seed%uint64(opt.Chains)), popN)
-	if err != nil {
-		return nil, err
-	}
-	attack := population[:attackN]
-
-	und := plainSequent{core.NewSequentHash(opt.Chains, victim)}
-	g := overload.NewGuarded(opt.Chains, victim, opt.Seed, overload.Config{})
-	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
-	type advTable struct {
-		name   string
-		d      advDemux
-		m      *telemetry.DemuxMetrics
-		stats  func() core.Stats
-		rekeys func() int
-	}
-	tables := []advTable{
-		{"sequent-undefended", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"),
-			func() core.Stats { return *und.Stats() }, func() int { return 0 }},
-		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"),
-			func() core.Stats { return *g.Stats() }, func() int { return g.Rekeys }},
-	}
-
-	rep := &advReport{
-		Benchmark:  "adversarial collision attack + SYN flood",
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Config: map[string]any{
-			"chains": opt.Chains, "seed": opt.Seed,
-			"attack": attackN, "benign": benignN, "flood": floodN,
-			"hash": "multiplicative", "syncookies": true,
-		},
-	}
-	for _, tb := range tables {
-		if err := tb.d.Insert(core.NewListenPCB(core.ListenKey(hashfn.ServerEndpoint.Addr, hashfn.ServerEndpoint.Port))); err != nil {
-			return nil, err
-		}
-		benignKeys := make([]core.Key, len(benign))
-		for i, tu := range benign {
-			benignKeys[i] = core.KeyFromTuple(tu)
-			if err := tb.d.Insert(core.NewPCB(benignKeys[i])); err != nil {
-				return nil, err
-			}
-		}
-		tb := tb
-		meanOver := func(keys []core.Key) float64 {
-			before := tb.stats()
-			for _, k := range keys {
-				tb.m.Observe(tb.d.Lookup(k, core.DirData))
-			}
-			after := tb.stats()
-			if after.Lookups == before.Lookups {
-				return 0
-			}
-			return float64(after.Examined-before.Examined) / float64(after.Lookups-before.Lookups)
-		}
-		benignMean := meanOver(benignKeys)
-		allKeys := benignKeys
-		for _, tu := range attack {
-			k := core.KeyFromTuple(tu)
-			if err := tb.d.Insert(core.NewPCB(k)); err != nil {
-				return nil, err
-			}
-			allKeys = append(allKeys, k)
-		}
-		for guard := 0; tb.d.Migrating(); guard++ {
-			if guard > 1<<20 {
-				return nil, fmt.Errorf("%s: migration never completed", tb.name)
-			}
-			tb.d.Advance(64)
-		}
-		attackedMean := meanOver(allKeys)
-		h := tb.m.ExaminedSnapshot()
-		rep.Tables = append(rep.Tables, advTableResult{
-			Table:        tb.name,
-			BenignMean:   benignMean,
-			AttackedMean: attackedMean,
-			WorstLookup:  tb.stats().MaxExamined,
-			Rekeys:       tb.rekeys(),
-			ExaminedP50:  h.Quantile(0.50),
-			ExaminedP90:  h.Quantile(0.90),
-			ExaminedP99:  h.Quantile(0.99),
-		})
-	}
-
-	frames, err := chaos.SynFloodFrames(population[:floodN])
-	if err != nil {
-		return nil, err
-	}
-	server := engine.NewStack(hashfn.ServerEndpoint.Addr, core.NewSequentHash(opt.Chains, nil), opt.Seed|1)
-	server.SetTelemetry(reg)
-	server.Backlog = 64
-	server.SynCookies = true
-	if err := server.Listen(hashfn.ServerEndpoint.Port, func(_ *engine.Conn, p []byte) []byte {
-		return append([]byte("ok:"), p...)
-	}); err != nil {
-		return nil, err
-	}
-	deliver := func(fs [][]byte) {
-		for _, f := range fs {
-			server.Deliver(f)
-			server.Drain()
-		}
-	}
-	deliver(frames[:floodN/2])
-	client := engine.NewStack(wire.MakeAddr(10, 0, 0, 99), core.NewMapDemux(), opt.Seed+2)
-	conn, err := client.Connect(hashfn.ServerEndpoint.Addr, hashfn.ServerEndpoint.Port, 40000, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := engine.Pump(client, server); err != nil {
-		return nil, err
-	}
-	deliver(frames[floodN/2:])
-	st := server.Stats()
-	rep.Flood = advFloodResult{
-		ClientEstablished:  conn.State() == core.StateEstablished,
-		CookiesSent:        st.CookiesSent,
-		CookiesAccepted:    st.CookiesAccepted,
-		SynDrops:           st.SynDrops,
-		DroppedBadCookie:   st.DroppedBadCookie,
-		DroppedBacklogFull: st.DroppedBacklogFull,
-	}
-	rep.Telemetry = reg.Snapshot()
-	return rep, nil
 }

@@ -105,50 +105,3 @@ func TestRunEmbedsTelemetry(t *testing.T) {
 		}
 	}
 }
-
-// TestRunAdversarialReport drives a tiny adversarial measurement and
-// checks the JSON document's structure and invariants.
-func TestRunAdversarialReport(t *testing.T) {
-	opt := defaults()
-	opt.Ops = 40_000 // attackN = ops/50 = 800
-	opt.Seed = 42
-
-	rep, err := runAdversarial(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Tables) != 2 {
-		t.Fatalf("got %d tables", len(rep.Tables))
-	}
-	und, guarded := rep.Tables[0], rep.Tables[1]
-	if und.Table != "sequent-undefended" || guarded.Table != "guarded-sequent" {
-		t.Fatalf("table order wrong: %+v", rep.Tables)
-	}
-	if und.AttackedMean <= guarded.AttackedMean {
-		t.Fatalf("defense did not help: undefended %.1f vs guarded %.1f",
-			und.AttackedMean, guarded.AttackedMean)
-	}
-	if guarded.Rekeys == 0 {
-		t.Fatalf("guarded table never rekeyed")
-	}
-	if !rep.Flood.ClientEstablished {
-		t.Fatalf("legitimate client failed during flood: %+v", rep.Flood)
-	}
-	if rep.Flood.CookiesSent == 0 {
-		t.Fatalf("no cookies issued: %+v", rep.Flood)
-	}
-	if len(rep.Telemetry.Histograms) == 0 || len(rep.Telemetry.Counters) == 0 {
-		t.Fatalf("telemetry snapshot empty")
-	}
-	buf, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back advReport
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Flood != rep.Flood {
-		t.Fatalf("flood block did not round-trip")
-	}
-}

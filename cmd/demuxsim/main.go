@@ -409,7 +409,7 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 	type advTable struct {
 		name   string
 		d      advDemux
-		m      *telemetry.DemuxMetrics
+		ob     *telemetry.Observer
 		stats  func() core.Stats
 		rekeys func() int
 	}
@@ -417,9 +417,9 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 	g := overload.NewGuarded(chains, victim, seed, overload.Config{})
 	g.SetTelemetry(telemetry.NewOverloadMetrics(reg, "guarded-sequent"))
 	tables := []advTable{
-		{"sequent (undefended)", und, telemetry.NewDemuxMetrics(reg, "sequent-undefended"),
+		{"sequent (undefended)", und, telemetry.NewObserver(telemetry.NewDemuxMetrics(reg, "sequent-undefended")),
 			func() core.Stats { return *und.Stats() }, func() int { return 0 }},
-		{"guarded-sequent", g, telemetry.NewDemuxMetrics(reg, "guarded-sequent"),
+		{"guarded-sequent", g, telemetry.NewObserver(telemetry.NewDemuxMetrics(reg, "guarded-sequent")),
 			func() core.Stats { return *g.Stats() }, func() int { return g.Rekeys }},
 	}
 
@@ -444,7 +444,7 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 			before := tb.stats()
 			for _, k := range keys {
 				r := tb.d.Lookup(k, core.DirData)
-				tb.m.Observe(r)
+				tb.ob.Observe(r)
 				vt++
 				rec.Record(telemetry.Event{
 					Time:       vt,
@@ -480,6 +480,7 @@ func runAdversarial(out io.Writer, cfg advConfig) error {
 			tb.d.Advance(64)
 		}
 		attackedMean := meanOver(allKeys)
+		tb.ob.Flush()
 		worst := tb.stats().MaxExamined
 		fmt.Fprintf(w, "%s\t%.2f\t%.2f\t%d\t%d\t%d→%d\n",
 			tb.name, benignMean, attackedMean, worst, tb.rekeys(), chainsBefore, tb.d.NumChains())

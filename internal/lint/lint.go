@@ -4,8 +4,8 @@
 // examined per inbound packet) is trustworthy only because the simulation
 // is deterministic — virtual time driven by Stack.Tick, seeded RNG via
 // internal/rng — and because state shared across goroutines (telemetry
-// stripes, shard rings, health words) is touched only through atomic
-// operations or by its single owner. These invariants used to live in
+// metric words, shard rings, health words) is touched only through
+// atomic operations or by its single owner. These invariants used to live in
 // comments and code-review habit; this package turns them into
 // machine-checked rules.
 //

@@ -14,7 +14,7 @@ type swField struct {
 
 // SingleWriter returns the singlewriter analyzer, the mechanical form of
 // the "this state belongs to one goroutine" comments on the repository's
-// fast paths: telemetry's LocalDemux observation buffers, the sharded
+// fast paths: telemetry's Observer buffers, the sharded
 // engine's per-shard steering counters, the flat slab's free list. A
 // struct field marked //demux:singlewriter(owner=role) — or every field
 // of a struct whose type carries the marker — may be accessed only from

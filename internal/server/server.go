@@ -43,11 +43,21 @@ import (
 	"tcpdemux/internal/wire"
 )
 
-// Defaults for Config's zero fields.
+// Frontend sizing constants.
 const (
-	DefaultReadBuf      = 4096
+	// DefaultReadBuf is the per-connection socket read buffer in bytes,
+	// the granularity of synthesized data segments.
+	DefaultReadBuf = 4096
+	// DefaultEventBacklog bounds the engine loop's event channel — the
+	// backpressure point between the readers and the engine.
 	DefaultEventBacklog = 1024
+	// DefaultWriteBacklog bounds each session's queued-response frames;
+	// a client that stops reading long enough to fill it is shed.
 	DefaultWriteBacklog = 64
+	// DefaultTickInterval is the wall-clock cadence at which the
+	// engine's virtual clock advances. The server package sits outside
+	// the simulator's virtual-time boundary: here, virtual seconds are
+	// wall seconds since the server started.
 	DefaultTickInterval = 5 * time.Millisecond
 )
 
@@ -67,22 +77,6 @@ type Config struct {
 	// Registry re-homes all telemetry (engine, shard, and server_*
 	// families) when set; otherwise a private registry is created.
 	Registry *telemetry.Registry
-	// ReadBuf is the per-connection socket read buffer in bytes, the
-	// granularity of synthesized data segments (default DefaultReadBuf).
-	ReadBuf int
-	// EventBacklog bounds the engine loop's event channel — the
-	// backpressure point between the readers and the engine (default
-	// DefaultEventBacklog).
-	EventBacklog int
-	// WriteBacklog bounds each session's queued-response frames; a
-	// client that stops reading long enough to fill it is shed
-	// (default DefaultWriteBacklog).
-	WriteBacklog int
-	// TickInterval is the wall-clock cadence at which the engine's
-	// virtual clock advances (default DefaultTickInterval). The server
-	// package sits outside the simulator's virtual-time boundary: here,
-	// virtual seconds are wall seconds since the server started.
-	TickInterval time.Duration
 }
 
 // Stats is the frontend's conservation ledger. After Shutdown returns,
@@ -167,18 +161,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 4
 	}
-	if cfg.ReadBuf <= 0 {
-		cfg.ReadBuf = DefaultReadBuf
-	}
-	if cfg.EventBacklog <= 0 {
-		cfg.EventBacklog = DefaultEventBacklog
-	}
-	if cfg.WriteBacklog <= 0 {
-		cfg.WriteBacklog = DefaultWriteBacklog
-	}
-	if cfg.TickInterval <= 0 {
-		cfg.TickInterval = DefaultTickInterval
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -197,7 +179,7 @@ func New(cfg Config) (*Server, error) {
 		set:      set,
 		reg:      reg,
 		m:        telemetry.NewServerMetrics(reg),
-		events:   make(chan event, cfg.EventBacklog),
+		events:   make(chan event, DefaultEventBacklog),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 		loopExit: make(chan struct{}),
@@ -264,7 +246,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 func (s *Server) Close() error { return s.Shutdown(context.Background()) }
 
 // now is the engine's virtual clock: wall seconds since start (this
-// package is outside the virtual-time boundary — see Config.TickInterval).
+// package is outside the virtual-time boundary — see DefaultTickInterval).
 func (s *Server) now() float64 { return time.Since(s.start).Seconds() }
 
 // acceptLoop owns the kernel listener, the accept ordinal, and the ISS
@@ -279,7 +261,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed (Shutdown) or fatal
 		}
-		sess := newSession(s.nextID, c, s.set.Addr(), uint32(s.iss.Uint64()), s.cfg.WriteBacklog)
+		sess := newSession(s.nextID, c, s.set.Addr(), uint32(s.iss.Uint64()), DefaultWriteBacklog)
 		s.nextID++
 		select {
 		case s.events <- event{kind: evOpen, sess: sess}:
@@ -305,12 +287,12 @@ func (s *Server) post(ev event) bool {
 
 // readLoop pulls bytes off one kernel connection into bounded reads and
 // posts them to the engine loop. The post blocks when the loop is
-// behind — that block, plus the fixed ReadBuf, is the frontend's entire
-// ingress buffering; everything beyond it backs up into the kernel
-// socket buffer and from there to the client's TCP stack.
+// behind — that block, plus the fixed DefaultReadBuf, is the frontend's
+// entire ingress buffering; everything beyond it backs up into the
+// kernel socket buffer and from there to the client's TCP stack.
 func (s *Server) readLoop(sess *session) {
 	defer s.readers.Done()
-	buf := make([]byte, s.cfg.ReadBuf)
+	buf := make([]byte, DefaultReadBuf)
 	for {
 		n, err := sess.conn.Read(buf)
 		if n > 0 {
@@ -362,7 +344,7 @@ func (s *Server) tapFrame(frame []byte) {
 //demux:owner(engineloop)
 func (s *Server) loop() {
 	defer close(s.loopExit)
-	tick := time.NewTicker(s.cfg.TickInterval)
+	tick := time.NewTicker(DefaultTickInterval)
 	defer tick.Stop()
 	for {
 		select {

@@ -15,11 +15,12 @@ import (
 //
 // The hot path (a shard deciding whether a handed-off or stale-steered
 // frame still belongs to it) is a single atomic load and compare. The
-// control plane (assign/release and the free list) takes a mutex — those
-// run at connection-arrival rate, not packet rate. Because the
-// generation bumps on every transition, a handoff message or a cached
-// (id, gen) pair from before a migration can never validate against the
-// slot again: stale resolution fails closed.
+// control plane (assign/release, the next-fresh counter, and the list
+// of released IDs) takes a mutex — those run at connection-arrival
+// rate, not packet rate. Because the generation bumps on every
+// transition, a handoff message or a cached (id, gen) pair from before
+// a migration can never validate against the slot again: stale
+// resolution fails closed.
 type Directory struct {
 	// slots needs no //demux:atomic marker: the element type is
 	// atomic.Uint64, so every slot access is atomic by construction, and
@@ -27,7 +28,10 @@ type Directory struct {
 	// capacity — growth would race the hot-path loads).
 	slots []atomic.Uint64
 
+	// next is the lowest never-assigned ID; free holds released IDs,
+	// reused most recent first before any fresh ID is handed out.
 	mu   sync.Mutex
+	next int
 	free []int
 }
 
@@ -44,13 +48,7 @@ func dirPack(gen uint32, owner int) uint64 {
 // IDs. Capacity is fixed so the hot-path slot loads never race a table
 // growth; size it to the engine's connection budget.
 func NewDirectory(capacity int) *Directory {
-	d := &Directory{slots: make([]atomic.Uint64, capacity)}
-	d.free = make([]int, capacity)
-	// Hand out low IDs first so dense workloads stay dense.
-	for i := range d.free {
-		d.free[i] = capacity - 1 - i
-	}
-	return d
+	return &Directory{slots: make([]atomic.Uint64, capacity)}
 }
 
 // Cap returns the fixed connection-ID capacity.
@@ -60,21 +58,28 @@ func (d *Directory) Cap() int { return len(d.slots) }
 func (d *Directory) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.slots) - len(d.free)
+	return d.next - len(d.free)
 }
 
 // Assign allocates a fresh connection ID owned by the given shard and
 // returns it with the slot's new generation. ok is false when the
-// directory is full. The generation continues from the slot's previous
-// life, so an ID released and reassigned never revalidates old frames.
+// directory is full. Released IDs are reused first, most recent first;
+// then fresh IDs follow in ascending order, so dense workloads stay
+// dense. The generation continues from the slot's previous life, so an
+// ID released and reassigned never revalidates old frames.
 func (d *Directory) Assign(owner int) (id int, gen uint32, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.free) == 0 {
+	switch {
+	case len(d.free) > 0:
+		id = d.free[len(d.free)-1]
+		d.free = d.free[:len(d.free)-1]
+	case d.next < len(d.slots):
+		id = d.next
+		d.next++
+	default:
 		return 0, 0, false
 	}
-	id = d.free[len(d.free)-1]
-	d.free = d.free[:len(d.free)-1]
 	prev := d.slots[id].Load()
 	gen = uint32(prev>>dirGenShift) + 1
 	d.slots[id].Store(dirPack(gen, owner))

@@ -82,6 +82,59 @@ func TestDirectoryReuseBumpsGeneration(t *testing.T) {
 	}
 }
 
+// TestDirectoryIDSequence pins the order Assign hands out IDs under a
+// mixed assign/release/exhaust schedule: released IDs come back first,
+// most recently released first, and only then do never-used IDs follow
+// in ascending order.
+func TestDirectoryIDSequence(t *testing.T) {
+	d := NewDirectory(6)
+	gens := map[int]uint32{}
+	assign := func(want int) {
+		t.Helper()
+		id, gen, ok := d.Assign(0)
+		if !ok || id != want {
+			t.Fatalf("Assign = (%d, %v), want id %d", id, ok, want)
+		}
+		gens[id] = gen
+	}
+	release := func(id int) {
+		t.Helper()
+		if !d.Release(id, gens[id], 0) {
+			t.Fatalf("Release(%d) failed", id)
+		}
+	}
+	assign(0)
+	assign(1)
+	assign(2)
+	release(1)
+	release(0)
+	assign(0) // LIFO: the last release comes back first
+	assign(1)
+	assign(3) // then fresh IDs, ascending
+	release(2)
+	assign(2)
+	assign(4)
+	assign(5)
+	if _, _, ok := d.Assign(0); ok {
+		t.Fatal("Assign succeeded on a full directory")
+	}
+	if d.Len() != 6 {
+		t.Fatalf("Len = %d, want 6", d.Len())
+	}
+	release(4)
+	release(0)
+	release(5)
+	if d.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", d.Len())
+	}
+	assign(5)
+	assign(0)
+	assign(4)
+	if _, _, ok := d.Assign(0); ok {
+		t.Fatal("Assign succeeded on a refilled directory")
+	}
+}
+
 func TestDirectoryExhaustionAndBounds(t *testing.T) {
 	d := NewDirectory(2)
 	ids := map[int]bool{}

@@ -102,7 +102,7 @@ type FaultVerdict struct {
 // goroutine only.
 type FaultFunc func(shard int, now float64) FaultVerdict
 
-// Watchdog defaults, overridable via Config. Values are virtual seconds.
+// Watchdog constants. Intervals are virtual seconds.
 const (
 	// DefaultHeartbeatInterval is how often each shard's wheel proves the
 	// clock is advancing.
@@ -185,27 +185,6 @@ func (set *StackSet) liveCount() int {
 	return n
 }
 
-func (set *StackSet) heartbeatInterval() float64 {
-	if set.hbInterval > 0 {
-		return set.hbInterval
-	}
-	return DefaultHeartbeatInterval
-}
-
-func (set *StackSet) stallThreshold() float64 {
-	if set.stallThresh > 0 {
-		return set.stallThresh
-	}
-	return DefaultStallThreshold
-}
-
-func (set *StackSet) handoffRetries() int {
-	if set.retryBudget > 0 {
-		return set.retryBudget
-	}
-	return DefaultHandoffRetries
-}
-
 // ensureHeartbeat arms shard i's liveness beat on its own timer wheel.
 // The beat lives on the shard's wheel precisely so that a frozen clock
 // stops beating; the callback runs inside the shard's Tick and only
@@ -219,7 +198,7 @@ func (set *StackSet) ensureHeartbeat(i int, now float64) {
 	if now > h.lastBeat {
 		h.lastBeat = now
 	}
-	set.shards[i].Heartbeat(set.heartbeatInterval(), func(at float64) {
+	set.shards[i].Heartbeat(DefaultHeartbeatInterval, func(at float64) {
 		h.lastBeat = at
 	})
 }
@@ -272,11 +251,11 @@ func (set *StackSet) checkHealth(now float64) {
 			continue
 		}
 		sick := false
-		if h.lastBeat > 0 && now-h.lastBeat > set.stallThreshold() {
+		if h.lastBeat > 0 && now-h.lastBeat > DefaultStallThreshold {
 			sick = true // clock frozen: crash
 		}
 		if set.inbox[i].Len() > 0 && h.consumed == h.progressMark &&
-			now-h.lastProgress > set.stallThreshold() {
+			now-h.lastProgress > DefaultStallThreshold {
 			sick = true // clock beats, consumer does not
 		}
 		if h.consumed != h.progressMark || set.inbox[i].Len() == 0 {
@@ -392,7 +371,7 @@ func (set *StackSet) FailOver(sick int) int {
 			continue
 		}
 		pushed := false
-		for attempt := 0; attempt < set.handoffRetries(); attempt++ {
+		for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
 			if set.pushHandoff(sick, to, Handoff{PCB: pcb, ID: cl.id, Gen: newGen}) {
 				pushed = true
 				break

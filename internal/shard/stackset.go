@@ -63,16 +63,9 @@ type Config struct {
 	// DirectoryCap bounds concurrent connections across all shards
 	// (DefaultDirectoryCap if zero).
 	DirectoryCap int
-	// InboxCap and HandoffCap size the SPSC rings (defaults if zero);
-	// tests shrink them to exercise the full edges.
-	InboxCap   int
-	HandoffCap int
-	// HeartbeatInterval and StallThreshold tune the health watchdog;
-	// HandoffRetries bounds the full-ring retry loops (defaults if
-	// zero — see health.go).
-	HeartbeatInterval float64
-	StallThreshold    float64
-	HandoffRetries    int
+	// InboxCap sizes each shard's inbox ring (DefaultInboxCap if zero);
+	// tests shrink it to exercise the full edge.
+	InboxCap int
 }
 
 // StackSet is the sharded multi-queue endpoint: one address, N
@@ -131,13 +124,10 @@ type StackSet struct {
 	// ledger (health.go); now is the set's virtual clock, advanced by
 	// Tick so Deliver can evaluate fault windows. m is the telemetry
 	// bundle, homed on a private registry until SetTelemetry re-homes it.
-	fault       FaultFunc
-	health      []shardHealth
-	now         float64
-	m           *telemetry.ShardSetMetrics
-	hbInterval  float64
-	stallThresh float64
-	retryBudget int
+	fault  FaultFunc
+	health []shardHealth
+	now    float64
+	m      *telemetry.ShardSetMetrics
 
 	// Steered counts frames dispatched per shard; the remaining counters
 	// describe the migration machinery. Steered is written only on the
@@ -186,22 +176,15 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 	if inboxCap <= 0 {
 		inboxCap = DefaultInboxCap
 	}
-	handoffCap := cfg.HandoffCap
-	if handoffCap <= 0 {
-		handoffCap = DefaultHandoffCap
-	}
 	set := &StackSet{
-		addr:        addr,
-		src:         rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		dir:         NewDirectory(dirCap),
-		claims:      make(map[core.Key]claim),
-		reasm:       frag.New(64),
-		Steered:     make([]uint64, cfg.Shards),
-		health:      make([]shardHealth, cfg.Shards),
-		m:           telemetry.NewShardSetMetrics(telemetry.NewRegistry(), cfg.Shards),
-		hbInterval:  cfg.HeartbeatInterval,
-		stallThresh: cfg.StallThreshold,
-		retryBudget: cfg.HandoffRetries,
+		addr:    addr,
+		src:     rng.New(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		dir:     NewDirectory(dirCap),
+		claims:  make(map[core.Key]claim),
+		reasm:   frag.New(64),
+		Steered: make([]uint64, cfg.Shards),
+		health:  make([]shardHealth, cfg.Shards),
+		m:       telemetry.NewShardSetMetrics(telemetry.NewRegistry(), cfg.Shards),
 	}
 	st := NewSteering(cfg.Shards, hashfn.KeyedFromRNG(set.src))
 	set.steer.Store(&st)
@@ -217,7 +200,7 @@ func NewStackSet(addr wire.Addr, cfg Config) (*StackSet, error) {
 		set.handoff[i] = make([]*Ring[Handoff], cfg.Shards)
 		for j := range set.handoff[i] {
 			if j != i {
-				set.handoff[i][j] = NewRing[Handoff](handoffCap)
+				set.handoff[i][j] = NewRing[Handoff](DefaultHandoffCap)
 			}
 		}
 	}
@@ -426,7 +409,7 @@ func (set *StackSet) pushInbox(idx int, frame []byte, v FaultVerdict) bool {
 	set.m.InboxFull.Inc()
 	if !v.Wedge && !v.Crash && !v.Stall {
 		force := 1
-		for attempt := 0; attempt < set.handoffRetries(); attempt++ {
+		for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
 			set.consume(idx, force)
 			if set.inbox[idx].Push(frame) {
 				return true
@@ -661,7 +644,7 @@ func (set *StackSet) Rekey() int {
 		// connection keeps working on its home shard and the forgone
 		// migration is shed, attributed to handoff-full.
 		pushed := false
-		for attempt := 0; attempt < set.handoffRetries(); attempt++ {
+		for attempt := 0; attempt < DefaultHandoffRetries; attempt++ {
 			if set.pushHandoff(cl.owner, to, Handoff{PCB: pcb, ID: cl.id, Gen: newGen}) {
 				pushed = true
 				break

@@ -34,8 +34,9 @@ type ThroughputConfig struct {
 	// SteerKey is the RSS steering secret (DefaultKeyed if zero-valued
 	// keys are fine for a bench; pass hashfn.DefaultKeyed).
 	SteerKey hashfn.Keyed
-	// Metrics, when non-nil, receives each worker's LocalDemux
-	// observations (flushed at worker exit, the single-writer contract).
+	// Metrics, when non-nil, receives every lookup Result through a
+	// per-worker telemetry.Observer, flushed at worker exit (the
+	// single-writer contract).
 	Metrics *telemetry.DemuxMetrics
 }
 
@@ -61,7 +62,7 @@ type ThroughputResult struct {
 // it is untimed here), each shard's private demuxer is populated with
 // exactly the connections that steer to it, and then N workers drain
 // their private sub-streams concurrently — no locks, no shared mutable
-// state, per-worker LocalDemux observation flushed at exit. With one
+// state, per-worker Observer flushed at exit. With one
 // shard it is the single-writer harness every lookup table is measured
 // through.
 //
@@ -132,10 +133,10 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 		go func(i int) {
 			defer wg.Done()
 			d := demux[i]
+			var ob *telemetry.Observer
 			if cfg.Metrics != nil {
-				l := telemetry.InstrumentLocal(demux[i], cfg.Metrics)
-				defer l.Flush()
-				d = l
+				ob = telemetry.NewObserver(cfg.Metrics)
+				defer ob.Flush()
 			}
 			stream := subStream[i]
 			pos := 0
@@ -148,6 +149,11 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 				if len(keys) > 0 {
 					results = core.LookupBatch(d, keys, dir, results)
 					keys = keys[:0]
+					if ob != nil {
+						for _, r := range results {
+							ob.Observe(r)
+						}
+					}
 				}
 			}
 			<-start
@@ -163,8 +169,8 @@ func MeasureSharded(cfg ThroughputConfig) (ThroughputResult, error) {
 					if len(keys) >= cfg.Batch {
 						flush()
 					}
-				} else {
-					d.Lookup(op.Key, op.Dir)
+				} else if r := d.Lookup(op.Key, op.Dir); ob != nil {
+					ob.Observe(r)
 				}
 			}
 			flush()

@@ -90,9 +90,9 @@ func TestMeasureShardedPartitionEffect(t *testing.T) {
 	}
 }
 
-// TestMeasureShardedBatchAndMetrics drives the batched train path under
-// a LocalDemux observer and checks the observations land in the shared
-// metrics after the per-worker flush.
+// TestMeasureShardedBatchAndMetrics drives the batched train path with
+// Metrics set and checks every train's Results land in the shared
+// metrics after the per-worker flush, agreeing with the tables' stats.
 func TestMeasureShardedBatchAndMetrics(t *testing.T) {
 	const users = 512
 	stream, keys := shardBenchInputs(t, users)
@@ -116,8 +116,9 @@ func TestMeasureShardedBatchAndMetrics(t *testing.T) {
 	if res.Stats.Lookups != uint64(res.Ops) {
 		t.Fatalf("batched Stats.Lookups = %d, want %d", res.Stats.Lookups, res.Ops)
 	}
-	if h := m.ExaminedSnapshot(); h.Count != uint64(res.Ops) {
-		t.Fatalf("LocalDemux flushed %d observations, want %d", h.Count, res.Ops)
+	if h := m.ExaminedSnapshot(); h.Count != uint64(res.Ops) || h.Sum != res.Stats.Examined {
+		t.Fatalf("observer flushed %d observations examining %d PCBs, want %d / %d",
+			h.Count, h.Sum, res.Ops, res.Stats.Examined)
 	}
 }
 

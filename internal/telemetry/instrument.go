@@ -1,217 +1,10 @@
-// Instrumentation wrappers and metric bundles: the glue between the
-// registry and the structures under internal/core, internal/flat,
-// internal/overload, and internal/engine.
-//
-// The demuxers themselves stay untouched — instrumentation is a wrapper
-// that observes each lookup's core.Result into a DemuxMetrics bundle
-// (and optionally the flight recorder), so an uninstrumented table pays
-// nothing and an instrumented one pays a couple of uncontended atomic
-// adds per lookup.
+// Metric bundles: the glue between the registry and the engine, shard,
+// overload, and server layers. Each bundle registers its metric family
+// once and hands out the hot-path handles.
 package telemetry
 
 import (
 	"fmt"
-
-	"tcpdemux/internal/core"
-)
-
-// DemuxMetrics is the per-discipline lookup instrument bundle: one
-// examined-PCBs histogram per lookup outcome, labeled by discipline and
-// outcome. Fusing the hit/miss classification into the histogram choice
-// means Observe pays exactly one atomic add per lookup (the histogram's
-// packed bucket word) instead of a histogram update plus a separate
-// classification counter — that second uncontended RMW alone was worth
-// ~7ns/op on the TPC/A lookup mix, well over the 5% overhead budget.
-// The per-outcome counts (cache hits, misses, wildcard matches) fall out
-// of the histogram counts for free, and the conditional distributions
-// tell the paper's story directly: misses walk the whole chain, cache
-// hits stop at the head.
-type DemuxMetrics struct {
-	hit      *Histogram
-	found    *Histogram
-	miss     *Histogram
-	wildcard *Histogram
-}
-
-// NewDemuxMetrics registers (or finds) the demux metric family for one
-// discipline label.
-func NewDemuxMetrics(r *Registry, discipline string) *DemuxMetrics {
-	h := func(outcome string) *Histogram {
-		return r.Histogram("demux_examined_pcbs",
-			L("discipline", discipline), L("outcome", outcome))
-	}
-	return &DemuxMetrics{
-		hit:      h("hit"),
-		found:    h("found"),
-		miss:     h("miss"),
-		wildcard: h("wildcard"),
-	}
-}
-
-// Observe folds one lookup result into the bundle. Unlike
-// core.Stats.Record, which keeps overlapping tallies, the outcome
-// classes here are mutually exclusive (miss, else wildcard match, else
-// cache hit, else plain chain hit) so the per-outcome counts sum to the
-// lookup count.
-//
-//demux:hotpath
-func (m *DemuxMetrics) Observe(r core.Result) {
-	h := m.found
-	switch {
-	case r.PCB == nil:
-		h = m.miss
-	case r.Wildcard:
-		h = m.wildcard
-	case r.CacheHit:
-		h = m.hit
-	}
-	h.Observe(uint64(r.Examined))
-}
-
-// ExaminedSnapshot merges the per-outcome histograms into the overall
-// examined-PCBs distribution for the discipline.
-func (m *DemuxMetrics) ExaminedSnapshot() HistogramSnapshot {
-	merged := HistogramSnapshot{
-		Name:   "demux_examined_pcbs",
-		Labels: m.found.labels[:1:1], // discipline only
-		Bucket: make([]uint64, histBuckets),
-	}
-	for _, h := range []*Histogram{m.hit, m.found, m.miss, m.wildcard} {
-		s := h.Snapshot()
-		merged.Count += s.Count
-		merged.Sum += s.Sum
-		if s.Max > merged.Max {
-			merged.Max = s.Max
-		}
-		for i, c := range s.Bucket {
-			merged.Bucket[i] += c
-		}
-	}
-	return merged
-}
-
-// Lookups returns the total observed lookup count.
-func (m *DemuxMetrics) Lookups() uint64 {
-	return m.hit.Snapshot().Count + m.found.Snapshot().Count +
-		m.miss.Snapshot().Count + m.wildcard.Snapshot().Count
-}
-
-// Hits returns the observed cache-hit count.
-func (m *DemuxMetrics) Hits() uint64 { return m.hit.Snapshot().Count }
-
-// Misses returns the observed miss count.
-func (m *DemuxMetrics) Misses() uint64 { return m.miss.Snapshot().Count }
-
-// WildcardHits returns the observed wildcard-match count.
-func (m *DemuxMetrics) WildcardHits() uint64 { return m.wildcard.Snapshot().Count }
-
-// chainIndexer is implemented by chain-hashed demuxers that can name the
-// chain a key maps to (core.SequentHash); the wrapper uses it to fill
-// flight events' Chain field.
-type chainIndexer interface {
-	ChainIndexOf(core.Key) int
-}
-
-// Demux wraps a core.Demuxer, recording every lookup into a
-// DemuxMetrics bundle and (optionally) a FlightRecorder. All other
-// methods delegate, so the wrapper is behaviourally transparent: the
-// inner demuxer's own Stats are untouched and remain the source of
-// truth for existing reports.
-type Demux struct {
-	inner  core.Demuxer
-	m      *DemuxMetrics
-	rec    *FlightRecorder
-	now    func() float64
-	chains chainIndexer // nil when inner has no chain notion
-}
-
-// InstrumentDemuxer wraps inner. m is required; rec may be nil to skip
-// flight recording; now supplies flight events' virtual timestamps (nil
-// records Time 0, leaving ordering to Seq).
-func InstrumentDemuxer(inner core.Demuxer, m *DemuxMetrics, rec *FlightRecorder, now func() float64) *Demux {
-	ci, _ := inner.(chainIndexer)
-	return &Demux{inner: inner, m: m, rec: rec, now: now, chains: ci}
-}
-
-// Name implements core.Demuxer.
-func (d *Demux) Name() string { return d.inner.Name() }
-
-// Insert implements core.Demuxer.
-func (d *Demux) Insert(p *core.PCB) error { return d.inner.Insert(p) }
-
-// Remove implements core.Demuxer.
-func (d *Demux) Remove(k core.Key) bool { return d.inner.Remove(k) }
-
-// NotifySend implements core.Demuxer.
-func (d *Demux) NotifySend(p *core.PCB) { d.inner.NotifySend(p) }
-
-// Len implements core.Demuxer.
-func (d *Demux) Len() int { return d.inner.Len() }
-
-// Stats implements core.Demuxer (the inner demuxer's live counters).
-func (d *Demux) Stats() *core.Stats { return d.inner.Stats() }
-
-// Walk implements core.Demuxer.
-func (d *Demux) Walk(fn func(*core.PCB) bool) { d.inner.Walk(fn) }
-
-// Lookup implements core.Demuxer, observing the result on the way out.
-//
-//demux:hotpath
-func (d *Demux) Lookup(k core.Key, dir core.Direction) core.Result {
-	r := d.inner.Lookup(k, dir)
-	d.m.Observe(r)
-	if d.rec != nil {
-		d.recordEvent(k, dir, r)
-	}
-	return r
-}
-
-// LookupBatch resolves a train through the inner demuxer's native batch
-// path when it has one (core.LookupBatch falls back to per-key Lookup
-// otherwise) and observes every result, so batched and per-packet
-// lookups land in the same metric bundle. out is reused when it has
-// capacity.
-//
-//demux:hotpath
-func (d *Demux) LookupBatch(keys []core.Key, dir core.Direction, out []core.Result) []core.Result {
-	out = core.LookupBatch(d.inner, keys, dir, out)
-	for i := range out {
-		d.m.Observe(out[i])
-		if d.rec != nil {
-			d.recordEvent(keys[i], dir, out[i])
-		}
-	}
-	return out
-}
-
-// recordEvent builds and records the flight event for one lookup.
-//
-//demux:hotpath
-func (d *Demux) recordEvent(k core.Key, dir core.Direction, r core.Result) {
-	t := 0.0
-	if d.now != nil {
-		t = d.now()
-	}
-	chain := int32(-1)
-	if d.chains != nil {
-		chain = int32(d.chains.ChainIndexOf(k))
-	}
-	d.rec.Record(Event{
-		Time:       t,
-		Tuple:      k.Tuple(),
-		Discipline: d.inner.Name(),
-		Chain:      chain,
-		Examined:   int32(r.Examined),
-		Hit:        r.CacheHit,
-		Wildcard:   r.PCB != nil && r.Wildcard,
-		Miss:       r.PCB == nil,
-		Ack:        dir == core.DirAck,
-	})
-}
-
-var (
-	_ core.Demuxer = (*Demux)(nil)
-	_ core.Batcher = (*Demux)(nil)
 )
 
 // StackMetrics is the engine.Stack instrument bundle: per-reason drop

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"tcpdemux/internal/core"
-	"tcpdemux/internal/flat"
-	"tcpdemux/internal/hashfn"
 )
 
 func testKey(n uint32) core.Key {
@@ -15,18 +13,23 @@ func testKey(n uint32) core.Key {
 func TestDemuxMetricsClassification(t *testing.T) {
 	r := NewRegistry()
 	m := NewDemuxMetrics(r, "test")
+	ob := NewObserver(m)
 	pcb := core.NewPCB(testKey(1))
-	m.Observe(core.Result{PCB: nil, Examined: 3})
-	m.Observe(core.Result{PCB: pcb, Examined: 1, CacheHit: true})
-	m.Observe(core.Result{PCB: pcb, Examined: 5, Wildcard: true})
-	m.Observe(core.Result{PCB: pcb, Examined: 7})
+	ob.Observe(core.Result{PCB: nil, Examined: 3})
+	ob.Observe(core.Result{PCB: pcb, Examined: 1, CacheHit: true})
+	ob.Observe(core.Result{PCB: pcb, Examined: 5, Wildcard: true})
+	ob.Observe(core.Result{PCB: pcb, Examined: 7})
+	if m.Lookups() != 0 {
+		t.Fatalf("observations published before Flush: lookups=%d", m.Lookups())
+	}
+	ob.Flush()
 	if m.Misses() != 1 || m.Hits() != 1 || m.WildcardHits() != 1 || m.Lookups() != 4 {
 		t.Fatalf("classification off: miss=%d hit=%d wild=%d lookups=%d",
 			m.Misses(), m.Hits(), m.WildcardHits(), m.Lookups())
 	}
 	snap := m.ExaminedSnapshot()
-	if snap.Count != 4 || snap.Sum != 16 {
-		t.Fatalf("examined histogram count=%d sum=%d, want 4/16", snap.Count, snap.Sum)
+	if snap.Count != 4 || snap.Sum != 16 || snap.Max != 7 {
+		t.Fatalf("examined histogram count=%d sum=%d max=%d, want 4/16/7", snap.Count, snap.Sum, snap.Max)
 	}
 	if len(snap.Labels) != 1 || snap.Labels[0].Key != "discipline" {
 		t.Fatalf("merged snapshot should carry only the discipline label: %+v", snap.Labels)
@@ -48,111 +51,6 @@ func TestDemuxMetricsClassification(t *testing.T) {
 			t.Fatalf("outcome %q count %d, want 1 (%v)", o, outcomes[o], outcomes)
 		}
 	}
-}
-
-// TestInstrumentDemuxerTransparent checks the wrapper returns exactly
-// what the inner demuxer returns while observing each lookup, and fills
-// the flight recorder with real chain indices for chain-hashed inners.
-func TestInstrumentDemuxerTransparent(t *testing.T) {
-	inner := core.NewSequentHash(19, hashfn.Multiplicative{})
-	r := NewRegistry()
-	m := NewDemuxMetrics(r, inner.Name())
-	fr := NewFlightRecorder(64)
-	vt := 0.0
-	d := InstrumentDemuxer(inner, m, fr, func() float64 { vt += 1; return vt })
-
-	for i := uint32(0); i < 10; i++ {
-		if err := d.Insert(core.NewPCB(testKey(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.Len() != 10 || d.Name() != inner.Name() {
-		t.Fatalf("delegation broken: len=%d name=%q", d.Len(), d.Name())
-	}
-	hit := d.Lookup(testKey(3), core.DirData)
-	if hit.PCB == nil {
-		t.Fatalf("lookup through wrapper missed an inserted key")
-	}
-	miss := d.Lookup(testKey(999), core.DirAck)
-	if miss.PCB != nil {
-		t.Fatalf("lookup through wrapper fabricated a PCB")
-	}
-	if m.ExaminedSnapshot().Count != 2 || m.Misses() != 1 {
-		t.Fatalf("wrapper did not observe both lookups")
-	}
-
-	evs := fr.Drain()
-	if len(evs) != 2 {
-		t.Fatalf("flight recorder captured %d events, want 2", len(evs))
-	}
-	if evs[0].Chain < 0 || evs[0].Discipline != inner.Name() {
-		t.Fatalf("chain index not captured from chainIndexer: %+v", evs[0])
-	}
-	if evs[0].Chain != int32(inner.ChainIndexOf(testKey(3))) {
-		t.Fatalf("chain %d != ChainIndexOf %d", evs[0].Chain, inner.ChainIndexOf(testKey(3)))
-	}
-	if !evs[1].Miss || !evs[1].Ack {
-		t.Fatalf("second event should be an ack miss: %+v", evs[1])
-	}
-	if evs[0].Time != 1 || evs[1].Time != 2 {
-		t.Fatalf("virtual timestamps not threaded: %g, %g", evs[0].Time, evs[1].Time)
-	}
-
-	if !d.Remove(testKey(3)) || d.Len() != 9 {
-		t.Fatalf("Remove delegation broken")
-	}
-	n := 0
-	d.Walk(func(*core.PCB) bool { n++; return true })
-	if n != 9 {
-		t.Fatalf("Walk visited %d, want 9", n)
-	}
-}
-
-// TestInstrumentDemuxerBatch checks the wrapper's batched path on both
-// shapes of inner demuxer: one with a native LookupBatch (a flat table,
-// which the wrapper must delegate to) and one without (chained Sequent,
-// which falls back to per-key delegation). Metrics must come out
-// identical to observing each lookup individually.
-func TestInstrumentDemuxerBatch(t *testing.T) {
-	inners := []core.Demuxer{
-		core.NewSequentHash(19, nil),
-		flat.NewHopscotch(0, nil),
-	}
-	for _, inner := range inners {
-		r := NewRegistry()
-		m := NewDemuxMetrics(r, inner.Name())
-		fr := NewFlightRecorder(64)
-		d := InstrumentDemuxer(inner, m, fr, nil)
-		for i := uint32(0); i < 10; i++ {
-			if err := d.Insert(core.NewPCB(testKey(i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		keys := []core.Key{testKey(3), testKey(999), testKey(7)}
-		out := d.LookupBatch(keys, core.DirData, nil)
-		if len(out) != 3 || out[0].PCB == nil || out[1].PCB != nil || out[2].PCB == nil {
-			t.Fatalf("%s: batch results wrong: %+v", inner.Name(), out)
-		}
-		if m.ExaminedSnapshot().Count != 3 || m.Misses() != 1 {
-			t.Fatalf("%s: batch not observed: count=%d misses=%d",
-				inner.Name(), m.ExaminedSnapshot().Count, m.Misses())
-		}
-		if evs := fr.Drain(); len(evs) != 3 || !evs[1].Miss {
-			t.Fatalf("%s: flight events wrong: %+v", inner.Name(), evs)
-		}
-		// out reuse: capacity suffices, no reallocation.
-		again := d.LookupBatch(keys[:1], core.DirAck, out)
-		if &again[0] != &out[:1][0] {
-			t.Fatalf("%s: batch did not reuse caller's buffer", inner.Name())
-		}
-	}
-}
-
-func TestInstrumentDemuxerNilRecorder(t *testing.T) {
-	inner := core.NewSequentHash(7, nil)
-	r := NewRegistry()
-	d := InstrumentDemuxer(inner, NewDemuxMetrics(r, "x"), nil, nil)
-	d.Lookup(testKey(1), core.DirData) // must not panic without recorder/clock
 }
 
 func TestStackMetricsRegistersDropReasons(t *testing.T) {

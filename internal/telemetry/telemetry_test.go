@@ -45,6 +45,8 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	r.Gauge("hits", L("d", "x"))
 }
 
+// TestCounterFoldsStripes checks that concurrent Inc calls from several
+// goroutines all land in the one atomic word.
 func TestCounterFoldsStripes(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n")
@@ -137,35 +139,28 @@ func TestHistogramMatchesStats(t *testing.T) {
 	}
 }
 
+// TestHistogramPackedDrain pushes one bucket past 2^22 observations —
+// more than a 24-bit count field holds — and requires exact totals.
 func TestHistogramPackedDrain(t *testing.T) {
-	// Force the count-field drain path by raising one bucket's packed word
-	// close to the threshold, then observing into that bucket; the snapshot
-	// must still account for every observation exactly.
-	h := newHistogram("x", nil, 1)
-	sl := &h.slots[0]
-	b := bucketOf(100)
-	sl.buckets[b].Store(histDrainAt - (1 << histPackShift)) // one observation from draining
-	start := h.Snapshot()
-	h.Observe(100)
-	h.Observe(100)
+	h := NewRegistry().Histogram("x")
+	const n = 1<<22 + 3
+	for i := 0; i < n; i++ {
+		h.Observe(3)
+	}
 	snap := h.Snapshot()
-	if snap.Count != start.Count+2 {
-		t.Fatalf("count %d, want %d", snap.Count, start.Count+2)
+	if snap.Count != n || snap.Bucket[bucketOf(3)] != n {
+		t.Fatalf("count %d (bucket %d), want %d", snap.Count, snap.Bucket[bucketOf(3)], n)
 	}
-	if snap.Sum != start.Sum+200 {
-		t.Fatalf("sum %d, want %d", snap.Sum, start.Sum+200)
-	}
-	if sl.spillCount[b].Load() == 0 {
-		t.Fatalf("count-drain path never transferred to spill counters")
+	if snap.Sum != 3*n {
+		t.Fatalf("sum %d, want %d", snap.Sum, 3*n)
 	}
 }
 
+// TestHistogramSumDrain drives one bucket's sum past 2^39 with
+// clamp-sized observations (2^39 / (2^32-1) is ~128) and requires exact
+// totals.
 func TestHistogramSumDrain(t *testing.T) {
-	// Large clamped values overflow the 40-bit sum field long before the
-	// count field fills; the sum-threshold drain must fire so totals stay
-	// exact. 2^39 / (2^32-1) is ~128, so 400 max-value observations cross
-	// the sum threshold several times over.
-	h := newHistogram("x", nil, 1)
+	h := NewRegistry().Histogram("x")
 	const n = 400
 	for i := 0; i < n; i++ {
 		h.Observe(histMaxObserve)
@@ -174,17 +169,13 @@ func TestHistogramSumDrain(t *testing.T) {
 	if snap.Count != n {
 		t.Fatalf("count %d, want %d", snap.Count, n)
 	}
-	if snap.Sum != n*histMaxObserve {
+	if snap.Sum != n*histMaxObserve || snap.Sum < 1<<39 {
 		t.Fatalf("sum %d, want %d", snap.Sum, n*histMaxObserve)
-	}
-	b := bucketOf(histMaxObserve)
-	if h.slots[0].spillSum[b].Load() == 0 {
-		t.Fatalf("sum-drain path never transferred to spill counters")
 	}
 }
 
 func TestHistogramClampsLargeValues(t *testing.T) {
-	h := newHistogram("x", nil, 1)
+	h := NewRegistry().Histogram("x")
 	h.Observe(1 << 40)
 	snap := h.Snapshot()
 	if snap.Sum != histMaxObserve || snap.Max != histMaxObserve {
@@ -350,18 +341,4 @@ func TestRegistryConcurrentSnapshot(t *testing.T) {
 	if snap.Histograms[0].Count != wantN {
 		t.Fatalf("hist count %d, want %d", snap.Histograms[0].Count, wantN)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

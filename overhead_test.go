@@ -11,9 +11,10 @@ import (
 )
 
 // TestTelemetryOverhead is the instrumentation-cost acceptance: a
-// single-writer Sequent table observed through telemetry.LocalDemux —
-// the way a shard worker instruments its private table — must run the
-// recorded TPC/A workload within 5% of the bare table. It re-measures
+// single-writer Sequent table whose every lookup Result is handed to a
+// telemetry.Observer — the way shard.MeasureSharded observes a worker's
+// private table — must run the recorded TPC/A workload within 5% of the
+// bare table. It re-measures
 // both sides with testing.Benchmark, so it is a real wall-clock
 // comparison and runs only when asked for (TELEMETRY_OVERHEAD=1),
 // keeping make test stable on noisy machines.
@@ -31,15 +32,14 @@ func TestTelemetryOverhead(t *testing.T) {
 	// The workload replays the recorded stream per packet (rng draw per
 	// op, 1% connection churn on keys outside the population) against a
 	// fresh table per benchmark run; the instrumented side differs only
-	// by the LocalDemux observer, flushed at the end of the run.
+	// by the Observe call on each Result, flushed at the end of the run.
 	workload := func(instrumented bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			var d core.Demuxer = core.NewSequentHash(19, nil)
+			var ob *telemetry.Observer
 			if instrumented {
-				m := telemetry.NewDemuxMetrics(telemetry.NewRegistry(), "sequent")
-				ld := telemetry.InstrumentLocal(d, m)
-				defer ld.Flush()
-				d = ld
+				ob = telemetry.NewObserver(telemetry.NewDemuxMetrics(telemetry.NewRegistry(), "sequent"))
+				defer ob.Flush()
 			}
 			for i := 0; i < users; i++ {
 				if err := d.Insert(core.NewPCB(tpca.UserKey(i))); err != nil {
@@ -62,7 +62,9 @@ func TestTelemetryOverhead(t *testing.T) {
 				if pos == len(stream) {
 					pos = 0
 				}
-				d.Lookup(op.Key, op.Dir)
+				if r := d.Lookup(op.Key, op.Dir); ob != nil {
+					ob.Observe(r)
+				}
 			}
 		}
 	}
